@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: a regular Release build + full ctest run, the same suite
-# again with CHRONOLOG_NUM_THREADS=4 (parallel evaluator everywhere), the
+# CI entry point: a regular Release build + full ctest run, the
 # chronolog-lint gate over every shipped example program, a chronolog_flow
 # soundness gate (static period/horizon bounds checked against the dynamic
 # detector), a clang-tidy pass (cppcheck fallback; skipped when neither
@@ -16,9 +15,9 @@
 # counts, an /explain rewrite cross-check, no-5xx assertion + clean
 # SIGINT shutdown), an
 # AddressSanitizer/UBSan build
-# (CHRONOLOG_SANITIZE, see CMakeLists.txt) with a full ctest run, and a
-# ThreadSanitizer build running the concurrency-heavy suites with
-# CHRONOLOG_NUM_THREADS=4.
+# (CHRONOLOG_SANITIZE, see CMakeLists.txt) with a full ctest run plus a
+# repeated stress run of the concurrency suites on every core, and a
+# ThreadSanitizer build running the concurrency-heavy suites.
 #
 # Usage: bench/ci.sh [build_dir] [sanitizer_build_dir] [tsan_build_dir]
 set -euo pipefail
@@ -29,20 +28,12 @@ BUILD_DIR="${1:-build}"
 SAN_BUILD_DIR="${2:-build-asan}"
 TSAN_BUILD_DIR="${3:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+STRESS_REPEAT=50
 
 echo "== release build + tests ($BUILD_DIR) =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-
-# Second configuration: the full suite against the parallel semi-naive
-# evaluator. tests/chronolog_test_main.cc reads the variable into the
-# process-wide thread default, so every fixpoint in every test runs with 4
-# workers — results are thread-count independent by design, and this run
-# enforces it suite-wide.
-echo "== release tests, parallel evaluator (CHRONOLOG_NUM_THREADS=4) =="
-CHRONOLOG_NUM_THREADS=4 \
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # chronolog-lint gate: every shipped example program must lint clean
 # (exit 0, even with warnings promoted to errors), and the seeded-bad
@@ -72,9 +63,8 @@ echo "lint gate: ok"
 # never crash or mis-parse) over every shipped example, and the soundness
 # suite (tests/flow_soundness_test.cc) re-checks the static bounds against
 # the dynamic detector over the same examples plus the workload-generator
-# programs: bounded => detected period 1 within the static horizon, the
-# static period divisor divides the detected period, and hint-seeded
-# detection produces bit-identical specifications.
+# programs: bounded => detected period 1 within the static horizon, and the
+# static period divisor divides the detected period.
 echo "== chronolog_flow gate (static bounds vs dynamic detector) =="
 for program in examples/programs/*.tdl; do
   echo "analyze: $program"
@@ -525,17 +515,30 @@ cmake --build "$SAN_BUILD_DIR" -j "$JOBS"
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -j "$JOBS"
 
+# ASan+UBSan stress: the concurrency suites (statement store, query
+# endpoints, HTTP server, metrics) repeated many times, one binary per core
+# at once. Readers racing writers is a logic race TSan cannot see when every
+# access is atomic (e.g. a sort comparator reading live counters); repeated
+# runs under ASan turn such races into reported out-of-bounds accesses.
+echo "== sanitizer stress (concurrency suites x $STRESS_REPEAT) =="
+printf '%s\n' statements_test serve_test metrics_test | \
+  ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
+  xargs -P "$JOBS" -I{} sh -c \
+    '"$1/tests/$2" --gtest_brief=1 --gtest_repeat="$3" \
+       --gtest_filter="*Statement*:*QueryEndpoint*:*Http*:*Serve*:*Metrics*" \
+       >"$1/stress_$2.log" 2>&1 || { tail -n 50 "$1/stress_$2.log"; exit 1; }' \
+    _ "$SAN_BUILD_DIR" {} "$STRESS_REPEAT"
+echo "sanitizer stress: ok"
+
 # ThreadSanitizer: a separate tree (TSan is incompatible with ASan, the
-# CMake cache enforces that) running the concurrency-heavy suites — the
-# parallel fixpoint, snapshot hashing, period equivalence and metrics
-# tests — with the parallel evaluator forced on suite-wide.
-echo "== thread sanitizer build + parallel tests ($TSAN_BUILD_DIR) =="
+# CMake cache enforces that) running the concurrency-heavy suites.
+echo "== thread sanitizer build + concurrency tests ($TSAN_BUILD_DIR) =="
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCHRONOLOG_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
-CHRONOLOG_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'Parallel|Snapshot|Metrics|EvalStats|PeriodEquivalence|Engine|Lint|Http|Obs|Log|Columnar|JoinPlan|QueryEndpoint|Statement'
+  -R 'Snapshot|Metrics|EvalStats|PeriodEquivalence|Engine|Lint|Http|Obs|Log|Trace|Columnar|JoinPlan|QueryEndpoint|Statement'
 
 echo "ci.sh: all checks passed"

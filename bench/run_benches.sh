@@ -86,13 +86,11 @@ for suite in ("bench_spec_build", "bench_bt_scaling", "bench_serve_qps"):
             continue
         name = bench["run_name"]
         assert bench["time_unit"] == "ms", (name, bench["time_unit"])
-        # Workload counters (num_threads, T_size) are flattened into the
-        # entry by google-benchmark; absent counters mean a sequential run /
-        # no reported horizon.
+        # Workload counters (T_size) are flattened into the entry by
+        # google-benchmark; an absent counter means no reported horizon.
         record = {
             "suite": suite,
             "median_wall_ms": round(bench["real_time"], 3),
-            "threads": int(bench.get("num_threads", 1)),
         }
         horizon = bench.get("T_size")
         record["horizon"] = int(horizon) if horizon is not None else None

@@ -80,10 +80,13 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
         advance(1);
       }
       std::string_view digits = source.substr(start, i - start);
+      // Times and offsets are int64: a literal above INT64_MAX would wrap
+      // negative further down, so it is rejected here, located.
+      constexpr uint64_t kMax = static_cast<uint64_t>(INT64_MAX);
       uint64_t value = 0;
       for (char d : digits) {
         uint64_t dv = static_cast<uint64_t>(d - '0');
-        if (value > (UINT64_MAX - dv) / 10) {
+        if (value > (kMax - dv) / 10) {
           return InvalidArgumentError("integer literal overflow at " +
                                       Position(tok.line, tok.column));
         }

@@ -77,9 +77,8 @@ Result<InflationaryReport> TemporalDatabase::inflationary() {
 }
 
 const FlowAnalysis& TemporalDatabase::analysis() {
-  if (analysis_ == nullptr) {
-    analysis_ = std::make_unique<FlowAnalysis>(
-        AnalyzeProgram(unit_.program, unit_.database, options_.flow));
+  if (!analysis_.has_value()) {
+    analysis_ = AnalyzeProgram(unit_.program, unit_.database, options_.flow);
     EngineLog(LogLevel::kInfo, "engine.analysis", options_)
         .Bool("bounded", analysis_->hints.bounded)
         .Int("static_horizon", analysis_->hints.static_horizon)
@@ -91,22 +90,11 @@ const FlowAnalysis& TemporalDatabase::analysis() {
 }
 
 Result<const RelationalSpecification*> TemporalDatabase::specification() {
+  if (!spec_failure_.ok()) return spec_failure_;
   if (!spec_.has_value()) {
-    // Under `analyze`, detection options are seeded from the static hints:
-    // the initial doubling window starts at the predicted stabilization
-    // horizon and the adornment join-order priors seed the plan caches.
-    // Both are cost-only steers — the detected period and the resulting
-    // specification are bit-identical to an unseeded build (the soundness
-    // gate in tests/flow_soundness_test.cc asserts exactly this).
-    PeriodDetectionOptions period_options = options_.period;
-    if (options_.analyze) {
-      const FlowAnalysis& flow = analysis();
-      SeedPeriodOptions(flow.hints, &period_options);
-      period_options.plan_priors = &flow.adornments.priors;
-    }
     const auto start = std::chrono::steady_clock::now();
     Result<RelationalSpecification> spec = BuildSpecification(
-        unit_.program, unit_.database, period_options, &spec_info_);
+        unit_.program, unit_.database, options_.period, &spec_info_);
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count();
@@ -114,7 +102,8 @@ Result<const RelationalSpecification*> TemporalDatabase::specification() {
       EngineLog(LogLevel::kError, "engine.spec_build_failed", options_)
           .Str("status", spec.status().ToString())
           .Num("wall_ms", wall_ms);
-      return spec.status();
+      spec_failure_ = spec.status();
+      return spec_failure_;
     }
     EngineLog(LogLevel::kInfo, "engine.spec_build", options_)
         .Int("period_b", spec->period().b)
@@ -142,7 +131,6 @@ Result<bool> TemporalDatabase::AskBt(std::string_view ground_atom,
   CHRONOLOG_ASSIGN_OR_RETURN(GroundAtom atom,
                              ParseGroundAtom(ground_atom, vocab()));
   BtOptions options;
-  options.num_threads = options_.num_threads;
   options.metrics = metrics_.get();
   options.trace = trace_.get();
   if (range.has_value()) {

@@ -29,11 +29,6 @@ struct EngineOptions {
   PeriodDetectionOptions period;
   /// Budgets for the Theorem 5.2 inflationary decision procedure.
   PeriodDetectionOptions inflationary_check;
-  /// Worker threads for model materialisation (specification builds and
-  /// AskBt). Values > 1 are pushed into the sub-option structs above unless
-  /// those already request their own thread count. Results are
-  /// thread-count independent.
-  int num_threads = 1;
   /// When to run chronolog_lint over the program before evaluation.
   ///  - kOff    (default): no lint pass, behaviour identical to before.
   ///  - kWarn:   lint at construction; diagnostics are retained and
@@ -45,15 +40,8 @@ struct EngineOptions {
   LintLevel lint_level = LintLevel::kOff;
   /// Pass configuration used when `lint_level != kOff`.
   LintOptions lint;
-  /// Run the chronolog_flow static analyses (analysis/dataflow.h) and let
-  /// their results steer evaluation: the temporal-offset hints seed
-  /// `period.initial_horizon` (result-invariant — the doubling detector
-  /// converges to the model's minimal period from any starting window) and
-  /// the adornment join-order priors seed the RuleEvaluator plan caches
-  /// (plans never affect results). Off by default; the analysis is also
-  /// available on demand via TemporalDatabase::analysis().
-  bool analyze = false;
-  /// Pass configuration for the flow analyses (roots, degree budget).
+  /// Pass configuration for the chronolog_flow analyses run by
+  /// TemporalDatabase::analysis() (roots, degree budget).
   FlowOptions flow;
   /// Build the chronolog_obs observability layer for this database: the
   /// engine owns a MetricsRegistry + TraceBuffer and wires them through
@@ -115,14 +103,14 @@ class TemporalDatabase {
   /// Theorem 5.2 inflationary verdict (computed once, cached).
   Result<InflationaryReport> inflationary();
 
-  /// The chronolog_flow static analysis (computed once, cached). Available
-  /// regardless of `EngineOptions::analyze`; the flag only controls whether
-  /// the hints steer specification builds.
+  /// The chronolog_flow static analysis (computed once, cached). Its hints
+  /// and priors are diagnostics only; they never steer evaluation.
   const FlowAnalysis& analysis();
 
   /// The relational specification `(T, B, W)` of the least model (built
   /// once, cached). May fail with kResourceExhausted when the period
-  /// exceeds the configured horizon.
+  /// exceeds the configured horizon; a failure is cached too, so later
+  /// calls return it without re-running detection.
   Result<const RelationalSpecification*> specification();
 
   /// Build-time facts about the cached specification — detection stats and
@@ -175,14 +163,6 @@ class TemporalDatabase {
 
   TemporalDatabase(ParsedUnit unit, EngineOptions options)
       : unit_(std::move(unit)), options_(options) {
-    if (options_.num_threads > 1) {
-      if (options_.period.num_threads <= 1) {
-        options_.period.num_threads = options_.num_threads;
-      }
-      if (options_.inflationary_check.num_threads <= 1) {
-        options_.inflationary_check.num_threads = options_.num_threads;
-      }
-    }
     if (options_.collect_metrics) {
       // The sinks outlive every evaluator run (they are owned here and the
       // raw pointers stored in the option structs stay valid across moves
@@ -203,10 +183,10 @@ class TemporalDatabase {
   std::unique_ptr<TraceBuffer> trace_;
   std::optional<ProgramClassification> classification_;
   std::optional<InflationaryReport> inflationary_;
-  // Heap-allocated so the join-order priors handed to evaluators stay valid
-  // across moves of this object (same reasoning as the metrics sinks).
-  std::unique_ptr<FlowAnalysis> analysis_;
+  std::optional<FlowAnalysis> analysis_;
   std::optional<RelationalSpecification> spec_;
+  // The status of a failed specification build; OK until one fails.
+  Status spec_failure_;
   SpecificationBuildInfo spec_info_;
 };
 

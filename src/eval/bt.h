@@ -34,10 +34,6 @@ struct BtOptions {
 
   uint64_t max_facts = 50'000'000;
 
-  /// Worker threads for the semi-naive fixpoint (ignored by the naive
-  /// path); 1 = sequential. The result is thread-count independent.
-  int num_threads = DefaultFixpointThreads();
-
   /// Observability sinks (chronolog_obs), forwarded to the underlying
   /// fixpoint; null disables collection.
   MetricsRegistry* metrics = nullptr;

@@ -57,25 +57,30 @@ uint64_t StatementStats::TotalCalls() const {
 }
 
 std::string StatementStats::ToJson() const {
-  // Snapshot the live entry pointers shard by shard; entries are stable, so
-  // the render below runs without any lock held.
-  std::vector<const Entry*> entries;
+  // Snapshot the live entry pointers, each with its eval-time total read
+  // once, shard by shard; entries are stable, so the sort and render below
+  // run without any lock held. Writers keep bumping the live totals, so the
+  // sort must compare the snapshot: a comparator reading live atomics is
+  // inconsistent, and std::sort may then run off the end of the array.
+  struct Row {
+    uint64_t eval_sum;
+    const Entry* entry;
+  };
+  std::vector<Row> snapshot;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [key, entry] : shard.live) {
-      entries.push_back(entry.get());
+      snapshot.push_back({entry->eval_ns.sum(), entry.get()});
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry* a, const Entry* b) {
-              const uint64_t sa = a->eval_ns.sum();
-              const uint64_t sb = b->eval_ns.sum();
-              if (sa != sb) return sa > sb;
-              return a->shape < b->shape;
+  std::sort(snapshot.begin(), snapshot.end(),
+            [](const Row& a, const Row& b) {
+              if (a.eval_sum != b.eval_sum) return a.eval_sum > b.eval_sum;
+              return a.entry->shape < b.entry->shape;
             });
   std::string out = "{\"statements\":[";
   bool first = true;
-  for (const Entry* e : entries) {
+  for (const auto& [eval_sum, e] : snapshot) {
     if (!first) out += ",";
     first = false;
     out += "{\"shape\":\"" + JsonEscape(e->shape) + "\"";
@@ -94,7 +99,7 @@ std::string StatementStats::ToJson() const {
     out += ",\"parse_ns\":" +
            std::to_string(e->parse_ns.load(std::memory_order_relaxed));
     out += ",\"eval_ns\":{\"count\":" + std::to_string(e->eval_ns.count()) +
-           ",\"sum\":" + std::to_string(e->eval_ns.sum()) +
+           ",\"sum\":" + std::to_string(eval_sum) +
            ",\"min\":" + std::to_string(e->eval_ns.min()) +
            ",\"max\":" + std::to_string(e->eval_ns.max()) +
            ",\"mean\":" + JsonNumber(e->eval_ns.mean()) +

@@ -157,10 +157,8 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
     FixpointOptions fp;
     fp.max_time = m;
     fp.max_facts = options.max_facts;
-    fp.num_threads = options.num_threads;
     fp.metrics = options.metrics;
     fp.trace = options.trace;
-    fp.plan_priors = options.plan_priors;
     fp.plan_report = options.plan_report;
     EvalStats round_stats;
     int64_t changed_from = 0;

@@ -24,18 +24,10 @@ struct PeriodDetectionOptions {
   /// When false, non-progressive programs fail with kFailedPrecondition.
   bool allow_general = true;
   uint64_t max_facts = 50'000'000;
-  /// Worker threads for the underlying semi-naive fixpoints
-  /// (FixpointOptions::num_threads); 1 = sequential.
-  int num_threads = DefaultFixpointThreads();
   /// Observability sinks (chronolog_obs), forwarded to the underlying
   /// fixpoints / forward simulation; null disables collection.
   MetricsRegistry* metrics = nullptr;
   TraceBuffer* trace = nullptr;
-  /// Static join-order priors (chronolog_flow adornment analysis), forwarded
-  /// to the doubling detector's fixpoints via FixpointOptions::plan_priors.
-  /// Advisory only: plans never affect results. The progressive (exact
-  /// forward) path does not consume priors. Must outlive detection.
-  const JoinOrderPriors* plan_priors = nullptr;
   /// When non-null, detection snapshots the executed join plans (of the
   /// last fixpoint / the forward simulation) into `*plan_report` for
   /// EXPLAIN; forwarded to FixpointOptions / ForwardOptions.

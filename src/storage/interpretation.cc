@@ -1,7 +1,6 @@
 #include "storage/interpretation.h"
 
 #include <cassert>
-#include <mutex>
 
 namespace chronolog {
 
@@ -65,21 +64,6 @@ void Interpretation::IndexInsertedRow(PredicateId pred, bool temporal,
   }
 }
 
-void Interpretation::SetConcurrentProbes(bool enabled) {
-  if (!enabled) {
-    probe_mu_.reset();
-    return;
-  }
-  // Pre-size the index vectors so probes never resize them concurrently.
-  if (nt_index_.size() < non_temporal_.size()) {
-    nt_index_.resize(non_temporal_.size());
-  }
-  if (t_index_.size() < temporal_.size()) t_index_.resize(temporal_.size());
-  if (probe_mu_ == nullptr) {
-    probe_mu_ = std::make_unique<std::shared_mutex>();
-  }
-}
-
 bool Interpretation::Insert(const GroundAtom& fact) {
   return Insert(fact.pred, fact.time, fact.args.data(), fact.args.size());
 }
@@ -102,12 +86,8 @@ bool Interpretation::Insert(PredicateId pred, int64_t time,
   if (!rel->Insert(args, n)) return false;
   ++size_;
   if (temporal && snapshot_hashing_) {
-    // `+ 1` carries the fact-count term of State::Hash / Hash2; both
-    // families finalize the same inner hash, computed once.
-    const std::size_t base = FactHashBase(pred, args, n);
-    SnapshotHashPair& pair = snapshot_hashes_[time];
-    pair.h1 += Mix64(base) + 1;
-    pair.h2 += Mix64b(base) + 1;
+    // `+ 1` carries the fact-count term of State::Hash.
+    snapshot_hashes_[time] += FactHash(pred, args, n) + 1;
   }
   IndexInsertedRow(pred, temporal, time, *rel,
                    static_cast<uint32_t>(rel->size() - 1));
@@ -117,26 +97,12 @@ bool Interpretation::Insert(PredicateId pred, int64_t time,
 std::size_t Interpretation::SnapshotHash(int64_t time) const {
   assert(snapshot_hashing_);
   auto it = snapshot_hashes_.find(time);
-  return it == snapshot_hashes_.end() ? 0 : it->second.h1;
-}
-
-std::size_t Interpretation::SnapshotHash2(int64_t time) const {
-  assert(snapshot_hashing_);
-  auto it = snapshot_hashes_.find(time);
-  return it == snapshot_hashes_.end() ? 0 : it->second.h2;
+  return it == snapshot_hashes_.end() ? 0 : it->second;
 }
 
 bool Interpretation::SnapshotEquals(int64_t t1, int64_t t2) const {
   if (t1 == t2) return true;
-  if (snapshot_hashing_) {
-    auto i1 = snapshot_hashes_.find(t1);
-    auto i2 = snapshot_hashes_.find(t2);
-    const SnapshotHashPair a =
-        i1 == snapshot_hashes_.end() ? SnapshotHashPair{} : i1->second;
-    const SnapshotHashPair b =
-        i2 == snapshot_hashes_.end() ? SnapshotHashPair{} : i2->second;
-    if (a.h1 != b.h1 || a.h2 != b.h2) return false;
-  }
+  if (snapshot_hashing_ && SnapshotHash(t1) != SnapshotHash(t2)) return false;
   for (const auto& timeline : temporal_) {
     auto i1 = timeline.find(t1);
     auto i2 = timeline.find(t2);
@@ -171,24 +137,6 @@ const std::vector<uint32_t>* Interpretation::ProbeNonTemporal(
   assert(!vocab_->predicate(pred).is_temporal);
   if (pred >= non_temporal_.size()) return nullptr;
   const Relation& rel = non_temporal_[pred];
-  if (probe_mu_ != nullptr) {
-    // Concurrent mode: optimistic shared-lock lookup, exclusive build.
-    {
-      std::shared_lock<std::shared_mutex> lock(*probe_mu_);
-      auto it = nt_index_[pred].find(col);
-      if (it != nt_index_[pred].end()) {
-        return FindBucket(it->second, rel, value);
-      }
-    }
-    std::unique_lock<std::shared_mutex> lock(*probe_mu_);
-    auto [it, fresh] = nt_index_[pred].try_emplace(col);
-    if (fresh) {
-      for (uint32_t row = 0; row < rel.size(); ++row) {
-        it->second.buckets[rel.at(row, col)].push_back(row);
-      }
-    }
-    return FindBucket(it->second, rel, value);
-  }
   if (nt_index_.size() < non_temporal_.size()) {
     nt_index_.resize(non_temporal_.size());
   }
@@ -209,26 +157,6 @@ const std::vector<uint32_t>* Interpretation::ProbeSnapshot(
   auto cell = temporal_[pred].find(time);
   if (cell == temporal_[pred].end()) return nullptr;
   const Relation& rel = cell->second;
-  if (probe_mu_ != nullptr) {
-    {
-      std::shared_lock<std::shared_mutex> lock(*probe_mu_);
-      auto snapshot = t_index_[pred].find(time);
-      if (snapshot != t_index_[pred].end()) {
-        auto it = snapshot->second.find(col);
-        if (it != snapshot->second.end()) {
-          return FindBucket(it->second, rel, value);
-        }
-      }
-    }
-    std::unique_lock<std::shared_mutex> lock(*probe_mu_);
-    auto [it, fresh] = t_index_[pred][time].try_emplace(col);
-    if (fresh) {
-      for (uint32_t row = 0; row < rel.size(); ++row) {
-        it->second.buckets[rel.at(row, col)].push_back(row);
-      }
-    }
-    return FindBucket(it->second, rel, value);
-  }
   if (t_index_.size() < temporal_.size()) t_index_.resize(temporal_.size());
   auto [it, fresh] = t_index_[pred][time].try_emplace(col);
   ColumnBuckets& index = it->second;

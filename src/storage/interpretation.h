@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -80,22 +79,15 @@ class Interpretation {
   /// prove equal states — verify collisions with SnapshotEquals.
   std::size_t SnapshotHash(int64_t time) const;
 
-  /// Second, independently finalized content hash of `M[time]` (see
-  /// FactHash2), maintained in the same map entry as SnapshotHash so one
-  /// insert updates both with a single lookup: equals
-  /// `State::FromInterpretation(*this, time).Hash2()`.
-  std::size_t SnapshotHash2(int64_t time) const;
-
   /// Exact comparison of the states `M[t1]` and `M[t2]`, in place (no State
   /// materialisation) — the hash-collision verification step of the period
   /// detectors. When snapshot hashing is enabled the walk is prefiltered by
-  /// the (SnapshotHash, SnapshotHash2) pairs: any disagreement proves the
-  /// states differ, so the exact per-timeline comparison only runs when
-  /// both hash families agree.
+  /// SnapshotHash: a disagreement proves the states differ, so the exact
+  /// per-timeline comparison only runs when the hashes agree.
   bool SnapshotEquals(int64_t t1, int64_t t2) const;
 
   /// Turns off snapshot-hash maintenance for this instance. For scratch
-  /// interpretations (semi-naive deltas, per-task derivation buffers) that
+  /// interpretations (semi-naive deltas and derivation buffers) that
   /// are only enumerated and merged, never queried through SnapshotHash:
   /// skipping the per-insert hash update keeps the hot derivation path free
   /// of the bookkeeping. Irreversible; copies inherit the setting;
@@ -145,22 +137,6 @@ class Interpretation {
                                              uint32_t col,
                                              SymbolId value) const;
 
-  /// Concurrent-probe mode: while enabled, lazy index construction inside
-  /// ProbeNonTemporal / ProbeSnapshot is guarded by a reader-writer lock so
-  /// that multiple threads may probe this interpretation simultaneously
-  /// (the parallel semi-naive evaluator probes `full` and `delta` from every
-  /// worker). Inserts remain single-threaded: callers must still serialise
-  /// Insert/Truncate against probes. Disabled (no locking, identical to the
-  /// historical behaviour) by default.
-  void SetConcurrentProbes(bool enabled);
-
-  /// True while concurrent-probe mode is on. The join planner uses this as
-  /// a "parallel phase in progress" signal: re-planning swaps the cached
-  /// JoinPlan in place, which is only safe while evaluation is
-  /// single-threaded. (Sampling column statistics is not the issue —
-  /// Relation::DistinctInColumn synchronises internally.)
-  bool concurrent_probes() const { return probe_mu_ != nullptr; }
-
  private:
   /// value -> row-id bucket map of one indexed column.
   struct ColumnBuckets {
@@ -175,15 +151,10 @@ class Interpretation {
   std::size_t size_ = 0;
 
   // Per-timestep state hashes: snapshot_hashes_[t] ==
-  // {State::FromInterpretation(*this, t).Hash(), ...Hash2()}. Each combine is
-  // a commutative sum of finalized per-fact hashes plus the fact count, so
-  // one insert is two O(1) `+=`s over one shared inner hash, and absent
-  // entries mean the empty-state hash pair (0, 0).
-  struct SnapshotHashPair {
-    std::size_t h1 = 0;
-    std::size_t h2 = 0;
-  };
-  std::unordered_map<int64_t, SnapshotHashPair> snapshot_hashes_;
+  // State::FromInterpretation(*this, t).Hash(). The combine is a commutative
+  // sum of finalized per-fact hashes plus the fact count, so one insert is
+  // one O(1) `+=`, and an absent entry means the empty-state hash 0.
+  std::unordered_map<int64_t, std::size_t> snapshot_hashes_;
   bool snapshot_hashing_ = true;
 
   // Lazily built column indexes (see ProbeNonTemporal / ProbeSnapshot).
@@ -194,8 +165,6 @@ class Interpretation {
   mutable std::vector<std::map<uint32_t, ColumnBuckets>> nt_index_;
   mutable std::vector<std::map<int64_t, std::map<uint32_t, ColumnBuckets>>>
       t_index_;
-  // Non-null while concurrent-probe mode is on (see SetConcurrentProbes).
-  mutable std::unique_ptr<std::shared_mutex> probe_mu_;
 
   void EnsurePred(PredicateId pred);
   void IndexInsertedRow(PredicateId pred, bool temporal, int64_t time,

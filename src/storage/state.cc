@@ -24,12 +24,6 @@ std::size_t State::Hash() const {
   return hash;
 }
 
-std::size_t State::Hash2() const {
-  std::size_t hash = facts_.size();
-  for (const auto& [pred, tuple] : facts_) hash += FactHash2(pred, tuple);
-  return hash;
-}
-
 std::vector<State> ExtractStates(const Interpretation& interp, int64_t from,
                                  int64_t to) {
   std::vector<State> states;

@@ -36,13 +36,6 @@ class State {
   /// ever materialising the state.
   std::size_t Hash() const;
 
-  /// Companion hash under the second finalizer:
-  /// `size + Σ FactHash2(pred, tuple)`. Mirrors
-  /// `Interpretation::SnapshotHash2(t)` exactly as Hash mirrors SnapshotHash;
-  /// the pair (Hash, Hash2) agreeing makes an undetected state collision
-  /// require two simultaneous 64-bit coincidences.
-  std::size_t Hash2() const;
-
   friend bool operator==(const State& a, const State& b) {
     return a.facts_ == b.facts_;
   }

@@ -140,8 +140,13 @@ double Histogram::Quantile(double q) const {
     const double frac = static_cast<double>(rank - cumulative) /
                         static_cast<double>(in_bucket);
     const double est = lower + (upper - lower) * frac;
-    return std::clamp(est, static_cast<double>(min()),
-                      static_cast<double>(max()));
+    // RecordValue bumps count_ before it updates min_/max_, so a concurrent
+    // reader can still see the empty sentinels (min_ above max_). Clamp
+    // only once the two are consistent; std::clamp with lo > hi is UB.
+    const uint64_t lo = min_.load(std::memory_order_relaxed);
+    const uint64_t hi = max_.load(std::memory_order_relaxed);
+    if (lo > hi) return est;
+    return std::clamp(est, static_cast<double>(lo), static_cast<double>(hi));
   }
   return static_cast<double>(max());
 }

@@ -2,7 +2,7 @@
 // semi-naive evaluator (columnar relations, selectivity-ordered joins) must
 // agree with the NaiveFixpoint reference oracle — the auditable Figure 1
 // transcription — on the least model, the EvalStats contract
-// (inserted / min_new_time), and both snapshot-hash families, across every
+// (inserted / min_new_time), and the snapshot hashes, across every
 // workload family the repo generates.
 
 #include <gtest/gtest.h>
@@ -47,7 +47,6 @@ void ExpectNaiveSemiNaiveAgree(std::string_view src, int64_t max_time) {
   EXPECT_EQ(naive_stats.min_new_time, semi_stats.min_new_time);
   for (int64_t t = 0; t <= max_time; ++t) {
     EXPECT_EQ(naive->SnapshotHash(t), semi->SnapshotHash(t)) << "t=" << t;
-    EXPECT_EQ(naive->SnapshotHash2(t), semi->SnapshotHash2(t)) << "t=" << t;
   }
 }
 
@@ -101,36 +100,6 @@ TEST(ColumnarEquivTest, RandomTimeOnlySweep) {
     std::string src = workload::RandomTimeOnlySource(3, 5, 3, &rng);
     SCOPED_TRACE("seed 7 iteration " + std::to_string(i) + "\n" + src);
     ExpectNaiveSemiNaiveAgree(src, 12);
-  }
-}
-
-TEST(ColumnarEquivTest, ParallelSemiNaiveMatchesSequential) {
-  // The planner pre-pass runs before workers fan out; all thread counts must
-  // produce the identical model and stats (merge is task-ordered).
-  std::mt19937 rng(11);
-  ParsedUnit unit = MustParse(workload::PathProgramSource() +
-                              workload::RandomGraphFactsSource(8, 20, &rng));
-  FixpointOptions seq;
-  seq.max_time = 8;
-  seq.num_threads = 1;
-  FixpointOptions par = seq;
-  par.num_threads = 4;
-
-  EvalStats seq_stats;
-  auto sequential =
-      SemiNaiveFixpoint(unit.program, unit.database, seq, &seq_stats);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EvalStats par_stats;
-  auto parallel =
-      SemiNaiveFixpoint(unit.program, unit.database, par, &par_stats);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-
-  EXPECT_TRUE(*sequential == *parallel);
-  EXPECT_EQ(seq_stats.inserted, par_stats.inserted);
-  EXPECT_EQ(seq_stats.min_new_time, par_stats.min_new_time);
-  for (int64_t t = 0; t <= 8; ++t) {
-    EXPECT_EQ(sequential->SnapshotHash(t), parallel->SnapshotHash(t));
-    EXPECT_EQ(sequential->SnapshotHash2(t), parallel->SnapshotHash2(t));
   }
 }
 

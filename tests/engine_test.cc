@@ -126,6 +126,29 @@ TEST(EngineTest, SpecificationBudgetErrorSurfaces) {
             StatusCode::kResourceExhausted);
 }
 
+// A failed specification build is cached: the second Ask returns the same
+// status without re-running detection. `seen` makes the rings
+// non-progressive, so detection goes through the doubling loop and its
+// `period.doublings` counter.
+TEST(EngineTest, FailedSpecificationBuildIsNotRetried) {
+  EngineOptions options;
+  options.period.max_horizon = 64;
+  options.collect_metrics = true;
+  auto tdd = TemporalDatabase::FromSource(
+      workload::TokenRingSource({31, 37}) + "seen(X) :- tok(T, X).\n",
+      options);
+  ASSERT_TRUE(tdd.ok()) << tdd.status();
+  const Result<bool> first = tdd->Ask("tok(5, r0_0)");
+  EXPECT_EQ(first.status().code(), StatusCode::kResourceExhausted);
+  const uint64_t doublings =
+      tdd->metrics()->counter("period.doublings")->value();
+  EXPECT_GT(doublings, 0u);
+
+  const Result<bool> second = tdd->Ask("tok(5, r0_0)");
+  EXPECT_EQ(second.status(), first.status());
+  EXPECT_EQ(tdd->metrics()->counter("period.doublings")->value(), doublings);
+}
+
 TEST(EngineTest, FromParsedUnitWorks) {
   auto unit = Parser::Parse(workload::EvenSource());
   ASSERT_TRUE(unit.ok());

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -234,7 +235,7 @@ TEST(EngineMetricsTest, CollectMetricsPopulatesDoublingInstruments) {
 TEST(MetricsTest, PrometheusTextCoversAllInstrumentKinds) {
   MetricsRegistry registry;
   registry.counter("query.asks")->Add(3);
-  Gauge* g = registry.gauge("fixpoint.parallel.imbalance");
+  Gauge* g = registry.gauge("example.level");
   g->Set(2.0);
   g->Set(4.0);
   Histogram* h = registry.histogram("query.latency_ns");
@@ -249,15 +250,11 @@ TEST(MetricsTest, PrometheusTextCoversAllInstrumentKinds) {
   EXPECT_NE(text.find("# TYPE query_asks counter\n"), std::string::npos);
   EXPECT_NE(text.find("query_asks 3\n"), std::string::npos);
 
-  EXPECT_NE(text.find("# TYPE fixpoint_parallel_imbalance gauge\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance 4\n"), std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance_min 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance_max 4\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance_mean 3\n"),
-            std::string::npos);
+  EXPECT_NE(text.find("# TYPE example_level gauge\n"), std::string::npos);
+  EXPECT_NE(text.find("example_level 4\n"), std::string::npos);
+  EXPECT_NE(text.find("example_level_min 2\n"), std::string::npos);
+  EXPECT_NE(text.find("example_level_max 4\n"), std::string::npos);
+  EXPECT_NE(text.find("example_level_mean 3\n"), std::string::npos);
 
   EXPECT_NE(text.find("# TYPE query_latency_ns histogram\n"),
             std::string::npos);
@@ -307,6 +304,34 @@ TEST(MetricsTest, HistogramQuantilesClampToObservedRange) {
   EXPECT_EQ(h->Quantile(0.01), 100.0);
   EXPECT_EQ(h->Quantile(0.5), 100.0);
   EXPECT_EQ(h->Quantile(0.99), 100.0);
+}
+
+// Regression: RecordValue bumps the count before it updates min/max, so a
+// reader could see a non-empty histogram whose min still holds its empty
+// sentinel (above max). Quantile then called std::clamp with lo > hi —
+// undefined behaviour that in practice returned the sentinel, ~1.8e19. A
+// reader racing the first sample into fresh histograms must only ever see
+// values in range.
+TEST(MetricsConcurrencyTest, QuantileStaysInRangeWhileTheFirstSampleLands) {
+  constexpr int kHistograms = 20000;
+  const std::unique_ptr<Histogram[]> histograms(new Histogram[kHistograms]);
+  std::atomic<int> current{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kHistograms; ++i) {
+      current.store(i, std::memory_order_release);
+      histograms[i].RecordValue(100);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  while (!done.load(std::memory_order_acquire)) {
+    const double p50 =
+        histograms[current.load(std::memory_order_acquire)].Quantile(0.5);
+    // 100 lies in the log2 bucket [64, 128); empty reads give 0.
+    ASSERT_GE(p50, 0.0);
+    ASSERT_LE(p50, 128.0);
+  }
+  writer.join();
 }
 
 TEST(MetricsTest, HistogramQuantilesAreMonotoneWithinBucketBounds) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ast/lexer.h"
 #include "ast/parser.h"
 #include "ast/printer.h"
 #include "workload/generators.h"
@@ -28,6 +29,22 @@ TEST(ParserTest, EvenExample) {
   EXPECT_TRUE(even.is_temporal);
   EXPECT_EQ(even.arity, 0u);
   EXPECT_EQ(even.written_arity(), 1u);
+}
+
+// Times are int64: 2^63 used to lex as a uint64 and wrap to a negative time.
+// It is now a located error; 2^63 - 1 still lexes.
+TEST(ParserTest, IntegerLiteralAboveInt64MaxIsALocatedError) {
+  auto unit = Parse("even(0).\neven(9223372036854775808).");
+  ASSERT_FALSE(unit.ok());
+  EXPECT_EQ(unit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unit.status().message().find(
+                "integer literal overflow at line 2, column 6"),
+            std::string::npos)
+      << unit.status();
+
+  auto tokens = Tokenize("9223372036854775807");
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  EXPECT_EQ((*tokens)[0].int_value, uint64_t{9223372036854775807});
 }
 
 TEST(ParserTest, FactTimeIsParsed) {

@@ -44,6 +44,19 @@ TEST_F(QueryParserTest, GroundAtomQuery) {
   EXPECT_EQ(q.root->atom.time->offset, 5);
 }
 
+// A time of 2^63 must not wrap to a negative time and answer "no": the
+// query parser shares the program lexer and its located range check.
+TEST_F(QueryParserTest, TimeLiteralAboveInt64MaxIsALocatedError) {
+  auto q = ParseQuery("plane(9223372036854775808, resort0)",
+                      unit_.program.vocab());
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(q.status().message().find(
+                "integer literal overflow at line 1, column 7"),
+            std::string::npos)
+      << q.status();
+}
+
 TEST_F(QueryParserTest, FreeVariablesAreCollected) {
   Query q = MustQuery("plane(T, X)");
   ASSERT_EQ(q.free_vars.size(), 2u);

@@ -70,6 +70,12 @@ TEST(StatementShapeTest, UnlexableTextFallsBackToTrimmedRawText) {
   EXPECT_EQ(NormalizeQueryShape("  % just a comment "), "% just a comment");
 }
 
+TEST(StatementShapeTest, OutOfRangeLiteralFallsBackToTrimmedRawText) {
+  // 2^63 does not lex (int64 range check), so the shape is the raw text.
+  EXPECT_EQ(NormalizeQueryShape(" even(9223372036854775808) "),
+            "even(9223372036854775808)");
+}
+
 TEST(StatementStatsTest, AccumulatesUnderOneShapeEntry) {
   StatementStats stats;
   StatementStats::Entry* entry = stats.GetOrCreate("tick(N)");
@@ -163,6 +169,56 @@ TEST(StatementStatsConcurrencyTest, ParallelRecordsAreExactAndMonotone) {
             static_cast<uint64_t>(kWriters) * (kPerWriter / 2));
   EXPECT_EQ(stats.GetOrCreate("exists T (tick(T))")->calls.load(),
             static_cast<uint64_t>(kWriters) * (kPerWriter / 2));
+}
+
+// Regression: ToJson used to sort with a comparator that read the live
+// eval-time totals while writers bumped them. The ordering was then
+// inconsistent, and with more than 16 entries libstdc++'s unguarded
+// insertion sort could walk off the array. The sort now runs on a snapshot,
+// so every scrape lists the totals it reports in non-increasing order.
+TEST(StatementStatsConcurrencyTest, ToJsonSortsASnapshotWhileWritersRecord) {
+  constexpr int kShapes = 64;
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 4000;
+  StatementStats stats;
+  std::vector<StatementStats::Entry*> entries;
+  for (int i = 0; i < kShapes; ++i) {
+    entries.push_back(stats.GetOrCreate("shape" + std::to_string(i) + "(N)"));
+  }
+  std::atomic<bool> done{false};
+
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto json = ParseJson(stats.ToJson());
+      ASSERT_TRUE(json.ok()) << json.status();
+      const JsonValue* statements = json->Find("statements");
+      ASSERT_NE(statements, nullptr);
+      ASSERT_EQ(statements->array.size(), static_cast<std::size_t>(kShapes));
+      for (std::size_t i = 1; i < statements->array.size(); ++i) {
+        EXPECT_GE(statements->array[i - 1].Find("eval_ns")->Find("sum")
+                      ->int_value,
+                  statements->array[i].Find("eval_ns")->Find("sum")
+                      ->int_value);
+      }
+    }
+  });
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&entries, w] {
+      // Each writer walks the shapes from a different start with varied
+      // costs, so the ranking keeps changing under the reader.
+      for (int i = 0; i < kPerWriter; ++i) {
+        const int shape = (i * 7 + w * 13) % kShapes;
+        entries[shape]->Record(1, false, false, 0, 0, 0,
+                               static_cast<uint64_t>(1 + (i * 31 + w) % 997));
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(stats.TotalCalls(), static_cast<uint64_t>(kWriters) * kPerWriter);
 }
 
 // ---------------------------------------------------------------------------

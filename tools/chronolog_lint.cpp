@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   chronolog::FlowOptions flow_options;
   bool json = false;
   bool strict = false;
-  bool analyze = false;
+  bool run_flow = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--json") == 0) {
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--check-inflationary") == 0) {
       options.check_inflationary = true;
     } else if (std::strcmp(arg, "--analyze") == 0) {
-      analyze = true;
+      run_flow = true;
     } else if (std::strncmp(arg, "--degree-budget=", 16) == 0) {
       char* end = nullptr;
       const long budget = std::strtol(arg + 16, &end, 10);
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
       chronolog::LintProgram(unit->program, unit->database, options);
   std::string analysis_json;
   std::string analysis_summary;
-  if (analyze) {
+  if (run_flow) {
     const chronolog::FlowAnalysis flow = chronolog::AnalyzeProgram(
         unit->program, unit->database, flow_options);
     // The A-series findings join the lint diagnostics (one sorted stream,
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
   }
   if (json) {
     std::string out = result.ToJson();
-    if (analyze) {
+    if (run_flow) {
       // Splice the analysis object into the lint report:
       // {"analysis":{...},"diagnostics":[...],...}
       out.insert(1, "\"analysis\":" + analysis_json + ",");
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf("%s", result.ToString().c_str());
     }
-    if (analyze) {
+    if (run_flow) {
       std::printf("%s", analysis_summary.c_str());
     }
   }

@@ -19,7 +19,6 @@
 //   --query=Q         run first-order query Q once at startup against the
 //                     default database (repeatable) so the query.*
 //                     instrument family is populated before the first scrape
-//   --threads=N       engine worker threads (EngineOptions::num_threads)
 //   --workers=N       HTTP worker threads (default 2)
 //   --idle-timeout-ms=N       close a kept-alive connection idle for N ms
 //                             (default 5000)
@@ -85,7 +84,6 @@ bool ParseIntFlag(const std::string& arg, const char* name, int* out) {
 
 int main(int argc, char** argv) {
   int port = 0;
-  int threads = 1;
   int workers = 2;
   int idle_timeout_ms = 5000;
   int max_requests_per_conn = 0;
@@ -101,7 +99,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (ParseIntFlag(arg, "--port", &port) ||
-        ParseIntFlag(arg, "--threads", &threads) ||
         ParseIntFlag(arg, "--workers", &workers) ||
         ParseIntFlag(arg, "--idle-timeout-ms", &idle_timeout_ms) ||
         ParseIntFlag(arg, "--max-requests-per-conn", &max_requests_per_conn) ||
@@ -152,7 +149,6 @@ int main(int argc, char** argv) {
 
   chronolog::EngineOptions options;
   options.collect_metrics = true;
-  options.num_threads = threads;
   if (trace_capacity > 0) {
     options.trace_capacity = static_cast<std::size_t>(trace_capacity);
   }
