@@ -185,35 +185,6 @@ ServeHarness& Harness() {
   return harness;
 }
 
-/// Same registry/server shape, statement tracking off — the pair of
-/// keep-alive medians (with vs without) is the statement store's measured
-/// per-request overhead.
-struct ServeHarnessNoStats {
-  DatabaseRegistry registry;
-  std::unique_ptr<HttpServer> server;
-
-  ServeHarnessNoStats() {
-    auto added = registry.AddFromSource("default", R"(
-      tick(0).
-      tick(T+128) :- tick(T).
-    )");
-    if (!added.ok()) std::abort();
-    HttpServerOptions options;
-    options.num_workers = 4;
-    server = std::make_unique<HttpServer>(options);
-    QueryServiceOptions query_options;
-    query_options.max_in_flight = 64;
-    query_options.track_statements = false;
-    RegisterQueryEndpoints(*server, &registry, query_options);
-    if (!server->Start().ok()) std::abort();
-  }
-};
-
-ServeHarnessNoStats& HarnessNoStats() {
-  static ServeHarnessNoStats harness;
-  return harness;
-}
-
 void BM_ServePostQuery(benchmark::State& state) {
   const int port = Harness().server->port();
   const std::string body = R"j({"query":"tick(T)"})j";
@@ -261,39 +232,6 @@ void BM_ServePostQueryKeepAlive(benchmark::State& state) {
 BENCHMARK(BM_ServePostQueryKeepAlive)
     ->Arg(16)->Arg(256)
     ->Threads(1)->Threads(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_ServePostQueryKeepAliveNoStats(benchmark::State& state) {
-  // The control for the statement-statistics store: identical workload to
-  // BM_ServePostQueryKeepAlive/256 but with track_statements=false, so the
-  // delta between the two medians is the store's shape-normalize +
-  // GetOrCreate + Record cost per request.
-  const int port = HarnessNoStats().server->port();
-  const std::string body = R"j({"query":"tick(T)"})j";
-  const int64_t requests_per_conn = state.range(0);
-  KeepAliveClient client;
-  int64_t served_on_conn = 0;
-  for (auto _ : state) {
-    if (!client.connected() || served_on_conn >= requests_per_conn) {
-      if (!client.Connect(port)) {
-        state.SkipWithError("connect failed");
-        break;
-      }
-      served_on_conn = 0;
-    }
-    const std::string response = client.PostQuery(body);
-    ++served_on_conn;
-    if (response.find("HTTP/1.1 200") == std::string::npos) {
-      state.SkipWithError("non-200 response");
-      break;
-    }
-    benchmark::DoNotOptimize(response);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["reqs_per_conn"] = static_cast<double>(requests_per_conn);
-}
-BENCHMARK(BM_ServePostQueryKeepAliveNoStats)
-    ->Arg(256)->Threads(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ServePostQueryRows(benchmark::State& state) {

@@ -28,8 +28,8 @@ for bench in bench_spec_build bench_bt_scaling bench_serve_qps; do
   echo "== $bench (repetitions=$REPS) =="
   # bench_spec_build honours CHRONOLOG_METRICS_OUT: after the (unmetered)
   # timing runs it re-runs representative workloads with a chronolog_obs
-  # registry attached and dumps the per-phase histograms + parallel
-  # imbalance gauges, which get merged into the output below.
+  # registry attached and dumps the per-phase histograms and counters,
+  # which get merged into the output below.
   # bench_spec_build also honours CHRONOLOG_TRACE_OUT: a Chrome trace of
   # the largest spec-build configuration, copied next to the output JSON so
   # perf regressions come with an openable Perfetto timeline.
@@ -65,7 +65,7 @@ records = {"_host": {"cpus": os.cpu_count(), "git_commit": git_commit}}
 
 # chronolog_obs dump from the metered spec-build pass: the header records
 # std::thread::hardware_concurrency() as the engine saw it, and "_metrics"
-# carries the per-phase histograms and the parallel-imbalance gauge.
+# carries the per-phase histograms and counters.
 metrics_path = f"{tmp_dir}/spec_metrics.json"
 if os.path.exists(metrics_path):
     with open(metrics_path) as fh:
@@ -73,7 +73,6 @@ if os.path.exists(metrics_path):
     records["_host"]["hardware_concurrency"] = dump["hardware_concurrency"]
     records["_metrics"] = {
         "histograms": dump["metrics"]["histograms"],
-        "gauges": dump["metrics"]["gauges"],
         "counters": dump["metrics"]["counters"],
         "trace_events": dump["trace_events"],
     }

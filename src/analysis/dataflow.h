@@ -28,9 +28,9 @@ namespace chronolog {
 //     such that the per-timestep relation holds O(n^k) tuples in the
 //     database size measure n (A005, A006);
 //   * binding-pattern (adornment) analysis — bound/free propagation from
-//     query roots, exporting static join-order priors (A007, A008).
+//     query roots (A007).
 //
-// Every result is a diagnostic: the hints and priors are reported (lint,
+// Every result is a diagnostic: the bounds and patterns are reported (lint,
 // `chronolog-lint --analyze`, `GET /analyze`) and never steer evaluation.
 // ---------------------------------------------------------------------------
 
@@ -142,45 +142,25 @@ struct DegreeResult {
 // Analysis 3: binding patterns (adornments).
 // ---------------------------------------------------------------------------
 
-/// Static join-order priors, indexed like Program::rules(): for rule i,
-/// priors[i] is the preferred body-atom evaluation order (source positions),
-/// or empty for "no preference".
-using JoinOrderPriors = std::vector<std::vector<uint32_t>>;
-
 struct AdornmentResult {
   /// Per predicate, the distinct binding patterns ('b'/'f' per non-temporal
   /// argument, most-bound first) reachable from the roots. Predicates never
   /// reached carry no patterns.
   std::vector<std::vector<std::string>> patterns;
-  /// Per rule (indexed like Program::rules()), the statically preferred
-  /// body-atom evaluation order; empty = source order / no preference.
-  JoinOrderPriors priors;
 };
 
 // ---------------------------------------------------------------------------
 // The combined run.
 // ---------------------------------------------------------------------------
 
-/// Period-detection predictions derived from the offset analysis.
-/// `initial_horizon == 0` means no prediction.
-struct FlowHints {
-  int64_t initial_horizon = 0;
-  int64_t period_divisor = 1;
-  bool bounded = false;
-  int64_t static_horizon = 0;
-};
-
 struct FlowOptions {
   /// Adornment roots (predicate names). Unknown names are ignored here (the
   /// lint reachability pass reports them as L013); empty = every derived
-  /// predicate with an all-free pattern, so join-order priors exist even
-  /// without an explicit query.
+  /// predicate with an all-free pattern.
   std::vector<std::string> roots;
   /// Degree budget: predicates whose proven degree exceeds it get an A005
   /// warning.
   int degree_budget = 8;
-  /// Cap applied to the exported initial-horizon hint.
-  int64_t max_horizon_hint = 1 << 20;
 };
 
 /// The combined chronolog_flow result over one program + database.
@@ -188,7 +168,6 @@ struct FlowAnalysis {
   TemporalOffsetResult offsets;
   DegreeResult degrees;
   AdornmentResult adornments;
-  FlowHints hints;
   /// A-series diagnostics (sorted, same contract as lint diagnostics).
   std::vector<Diagnostic> diagnostics;
   SccFixpointStats stats;
@@ -196,8 +175,8 @@ struct FlowAnalysis {
   /// Human-readable analysis report (one block per analysis).
   std::string Summary(const Program& program) const;
   /// {"bounded":...,"static_horizon":...,"period_divisor":...,
-  ///  "initial_horizon_hint":...,"program_degree":...,"predicates":[...],
-  ///  "sccs":[...],"priors":[...],"diagnostics":[...]}
+  ///  "program_degree":...,"predicates":[...],"sccs":[...],
+  ///  "diagnostics":[...]}
   std::string ToJson(const Program& program) const;
 };
 

@@ -46,7 +46,7 @@ inline constexpr const char* kPeriodDivisor = "A004";    // note
 inline constexpr const char* kDegreeBudget = "A005";     // warning
 inline constexpr const char* kProgramDegree = "A006";    // note
 inline constexpr const char* kBindingPatterns = "A007";  // note
-inline constexpr const char* kJoinOrderPrior = "A008";   // note
+// A008 (static join-order prior) is retired; do not reuse the code.
 }  // namespace flow_code
 
 /// A source span resolved against the owning program's unit table:

@@ -471,8 +471,7 @@ void ClassificationPass(const LintContext& ctx, std::vector<Diagnostic>* out) {
 // --------------------------------------------------------------------------
 
 void InflationaryPass(const LintContext& ctx, std::vector<Diagnostic>* out) {
-  Result<InflationaryReport> report =
-      CheckInflationary(ctx.program, ctx.options.inflationary_budget);
+  Result<InflationaryReport> report = CheckInflationary(ctx.program);
   if (!report.ok()) {
     out->push_back(MakeProgramDiagnostic(
         Severity::kNote, lint_code::kNotInflationary,

@@ -8,7 +8,6 @@
 #include "analysis/depgraph.h"
 #include "analysis/diagnostics.h"
 #include "ast/program.h"
-#include "spec/period.h"
 
 namespace chronolog {
 
@@ -18,10 +17,9 @@ struct LintOptions {
   /// progressivity explanations). Purely syntactic, cheap.
   bool classify = true;
   /// Run the Theorem 5.2 inflationary decision procedure. It materialises
-  /// one least model per derived temporal predicate (budgeted by
-  /// `inflationary_budget`), so it is opt-in.
+  /// one least model per derived temporal predicate (under the default
+  /// period-detection budgets), so it is opt-in.
   bool check_inflationary = false;
-  PeriodDetectionOptions inflationary_budget;
   /// Optional query roots (predicate names). When non-empty, rules whose
   /// head cannot be reached from any root along the dependency graph are
   /// flagged kUnreachableFromRoots (L008). Names that do not resolve to a

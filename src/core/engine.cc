@@ -4,19 +4,9 @@
 
 #include "ast/printer.h"
 #include "eval/provenance.h"
+#include "util/log.h"
 
 namespace chronolog {
-
-namespace {
-
-/// Engine log events honour the per-engine override before the global
-/// threshold (structured logging, src/util/log.h).
-LogEvent EngineLog(LogLevel level, std::string_view event,
-                   const EngineOptions& options) {
-  return LogEvent(level, event, options.log_level.value_or(GlobalLogLevel()));
-}
-
-}  // namespace
 
 Result<TemporalDatabase> TemporalDatabase::ApplyLintLevel(
     TemporalDatabase tdd) {
@@ -33,13 +23,13 @@ Result<TemporalDatabase> TemporalDatabase::ApplyLintLevel(
         message += "\n  " + diag.ToString();
       }
     }
-    EngineLog(LogLevel::kError, "engine.lint_reject", tdd.options_)
+    LogError("engine.lint_reject")
         .Uint("errors", lint.CountSeverity(Severity::kError))
         .Uint("warnings", lint.CountSeverity(Severity::kWarning));
     return InvalidArgumentError(message);
   }
   if (!lint.diagnostics.empty()) {
-    EngineLog(LogLevel::kWarn, "engine.lint", tdd.options_)
+    LogWarn("engine.lint")
         .Uint("errors", lint.CountSeverity(Severity::kError))
         .Uint("warnings", lint.CountSeverity(Severity::kWarning))
         .Uint("diagnostics", lint.diagnostics.size());
@@ -70,7 +60,7 @@ Result<InflationaryReport> TemporalDatabase::inflationary() {
   if (!inflationary_.has_value()) {
     CHRONOLOG_ASSIGN_OR_RETURN(
         InflationaryReport report,
-        CheckInflationary(unit_.program, options_.inflationary_check));
+        CheckInflationary(unit_.program, options_.period));
     inflationary_ = std::move(report);
   }
   return *inflationary_;
@@ -78,12 +68,11 @@ Result<InflationaryReport> TemporalDatabase::inflationary() {
 
 const FlowAnalysis& TemporalDatabase::analysis() {
   if (!analysis_.has_value()) {
-    analysis_ = AnalyzeProgram(unit_.program, unit_.database, options_.flow);
-    EngineLog(LogLevel::kInfo, "engine.analysis", options_)
-        .Bool("bounded", analysis_->hints.bounded)
-        .Int("static_horizon", analysis_->hints.static_horizon)
-        .Int("period_divisor", analysis_->hints.period_divisor)
-        .Int("initial_horizon_hint", analysis_->hints.initial_horizon)
+    analysis_ = AnalyzeProgram(unit_.program, unit_.database);
+    LogInfo("engine.analysis")
+        .Bool("bounded", analysis_->offsets.bounded)
+        .Int("static_horizon", analysis_->offsets.static_horizon)
+        .Int("period_divisor", analysis_->offsets.period_divisor)
         .Int("program_degree", analysis_->degrees.program_degree);
   }
   return *analysis_;
@@ -99,13 +88,13 @@ Result<const RelationalSpecification*> TemporalDatabase::specification() {
                                std::chrono::steady_clock::now() - start)
                                .count();
     if (!spec.ok()) {
-      EngineLog(LogLevel::kError, "engine.spec_build_failed", options_)
+      LogError("engine.spec_build_failed")
           .Str("status", spec.status().ToString())
           .Num("wall_ms", wall_ms);
       spec_failure_ = spec.status();
       return spec_failure_;
     }
-    EngineLog(LogLevel::kInfo, "engine.spec_build", options_)
+    LogInfo("engine.spec_build")
         .Int("period_b", spec->period().b)
         .Int("period_p", spec->period().p)
         .Int("representatives", spec->num_representatives())
@@ -157,10 +146,7 @@ Result<QueryAnswer> TemporalDatabase::Query(std::string_view query_text,
   QueryEvalOptions eval_options;
   eval_options.metrics = metrics_.get();
   eval_options.trace = trace_.get();
-  if (limits.timeout.count() > 0) {
-    eval_options.deadline = std::chrono::steady_clock::now() + limits.timeout;
-  }
-  eval_options.max_rows = limits.max_rows;
+  ApplyQueryLimits(limits, &eval_options);
   return EvaluateQueryOverSpec(parsed, *spec, eval_options);
 }
 

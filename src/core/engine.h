@@ -16,7 +16,6 @@
 #include "query/query_eval.h"
 #include "query/query_parser.h"
 #include "spec/specification.h"
-#include "util/log.h"
 #include "util/metrics.h"
 #include "util/result.h"
 #include "util/trace.h"
@@ -25,10 +24,9 @@ namespace chronolog {
 
 /// Engine-level options.
 struct EngineOptions {
-  /// Budgets for period detection / specification construction.
+  /// Budgets for period detection / specification construction, and for
+  /// the Theorem 5.2 inflationary decision procedure.
   PeriodDetectionOptions period;
-  /// Budgets for the Theorem 5.2 inflationary decision procedure.
-  PeriodDetectionOptions inflationary_check;
   /// When to run chronolog_lint over the program before evaluation.
   ///  - kOff    (default): no lint pass, behaviour identical to before.
   ///  - kWarn:   lint at construction; diagnostics are retained and
@@ -40,9 +38,6 @@ struct EngineOptions {
   LintLevel lint_level = LintLevel::kOff;
   /// Pass configuration used when `lint_level != kOff`.
   LintOptions lint;
-  /// Pass configuration for the chronolog_flow analyses run by
-  /// TemporalDatabase::analysis() (roots, degree budget).
-  FlowOptions flow;
   /// Build the chronolog_obs observability layer for this database: the
   /// engine owns a MetricsRegistry + TraceBuffer and wires them through
   /// every evaluator it drives (specification builds, inflationary checks,
@@ -54,11 +49,6 @@ struct EngineOptions {
   /// as dropped, not stored). Only meaningful with `collect_metrics`;
   /// chronolog-serve exposes it as `--trace-capacity=N`.
   std::size_t trace_capacity = 1 << 16;
-  /// Threshold for this engine's structured log events (src/util/log.h,
-  /// JSON lines: lint summaries, specification-build outcomes). Unset
-  /// inherits the process-wide level — $CHRONOLOG_LOG_LEVEL, default warn —
-  /// so engines stay quiet in tests and noisy only when asked.
-  std::optional<LogLevel> log_level;
 };
 
 /// The top-level facade of chronolog: one temporal deductive database
@@ -103,8 +93,9 @@ class TemporalDatabase {
   /// Theorem 5.2 inflationary verdict (computed once, cached).
   Result<InflationaryReport> inflationary();
 
-  /// The chronolog_flow static analysis (computed once, cached). Its hints
-  /// and priors are diagnostics only; they never steer evaluation.
+  /// The chronolog_flow static analysis under default FlowOptions
+  /// (computed once, cached). Its bounds are diagnostics only; they never
+  /// steer evaluation.
   const FlowAnalysis& analysis();
 
   /// The relational specification `(T, B, W)` of the least model (built
@@ -171,8 +162,6 @@ class TemporalDatabase {
       trace_ = std::make_unique<TraceBuffer>(options_.trace_capacity);
       options_.period.metrics = metrics_.get();
       options_.period.trace = trace_.get();
-      options_.inflationary_check.metrics = metrics_.get();
-      options_.inflationary_check.trace = trace_.get();
     }
   }
 

@@ -1,6 +1,7 @@
 #include "eval/bt.h"
 
 #include <algorithm>
+#include <string>
 
 namespace chronolog {
 
@@ -25,7 +26,12 @@ Result<BtResult> RunBt(const Program& program, const Database& db,
     m = *options.horizon;
   } else {
     // m = max(c, h) + range(Z ∧ D), as in the proof of Theorem 4.1.
-    m = std::max(c, h) + *options.range;
+    if (__builtin_add_overflow(std::max(c, h), *options.range, &m)) {
+      return OutOfRangeError(
+          "BT bound m = max(c, h) + range overflows int64 (h = " +
+          std::to_string(h) + ", range = " + std::to_string(*options.range) +
+          ")");
+    }
   }
 
   FixpointOptions fp;

@@ -54,7 +54,8 @@ struct BtResult {
 /// Algorithm BT: decides `M_{Z∧D} |= query` for a ground atomic temporal
 /// query by computing the least model truncated to the segment `[0...m]`
 /// (Theorem 4.1). Polynomial in `max(n, c, h)` whenever the period — and
-/// hence `range(Z∧D)` — is polynomially bounded.
+/// hence `range(Z∧D)` — is polynomially bounded. Fails with kOutOfRange
+/// when `m` does not fit in int64 (e.g. `h` near INT64_MAX).
 Result<BtResult> RunBt(const Program& program, const Database& db,
                        const GroundAtom& query, const BtOptions& options);
 

@@ -228,6 +228,22 @@ Result<QueryAnswer> Run(const Query& query, Evaluator evaluator,
 
 }  // namespace
 
+void ApplyQueryLimits(const QueryLimits& limits, QueryEvalOptions* options) {
+  options->max_rows = limits.max_rows;
+  if (limits.timeout.count() <= 0) return;
+  // Clamp before adding: the milliseconds convert to the clock's nanosecond
+  // duration, so `now + timeout` would overflow long before the int64
+  // millisecond count does.
+  const auto now = std::chrono::steady_clock::now();
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            std::chrono::steady_clock::time_point::max() -
+                            now) -
+                        std::chrono::milliseconds(1);
+  options->deadline = limits.timeout < headroom
+                          ? now + limits.timeout
+                          : std::chrono::steady_clock::time_point::max();
+}
+
 std::string QueryAnswer::ToString(const Vocabulary& vocab) const {
   std::string out;
   if (free_var_names.empty()) {

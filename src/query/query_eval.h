@@ -51,13 +51,19 @@ struct QueryEvalOptions {
 
 /// Caller-facing limit knobs (the serving layer's per-query budget; see
 /// docs/SERVING.md). Converted into `QueryEvalOptions::deadline`/`max_rows`
-/// by `TemporalDatabase::Query` and the `POST /query` endpoint.
+/// by ApplyQueryLimits, for `TemporalDatabase::Query` and `POST /query`.
 struct QueryLimits {
   /// Wall-clock budget; zero (the default) = unlimited.
   std::chrono::milliseconds timeout{0};
   /// Row cap for open queries; 0 = unlimited.
   uint64_t max_rows = 0;
 };
+
+/// Sets `options->deadline` to now + `limits.timeout` (unset for a zero
+/// timeout) and `options->max_rows` to `limits.max_rows`. A timeout too
+/// large for the clock (e.g. 2^62 ms) saturates to the clock's maximum
+/// instead of overflowing into a deadline in the past.
+void ApplyQueryLimits(const QueryLimits& limits, QueryEvalOptions* options);
 
 /// One value of a query answer: a ground temporal term (representative) or a
 /// database constant.

@@ -39,9 +39,6 @@ struct QueryServiceOptions {
   /// (the ci.sh end-to-end gate runs this way); negative (the default)
   /// disables the log.
   int64_t slow_query_ms = -1;
-  /// Per-database statement statistics (GET /statements). On by default;
-  /// the bench harness turns it off to measure the store's overhead.
-  bool track_statements = true;
 };
 
 /// Registers the query protocol on `server`:
@@ -67,10 +64,13 @@ struct QueryServiceOptions {
 ///                    the spec build's plan cache. Same 400/404 mapping as
 ///                    /query.
 ///
+/// Every successful /query is recorded in the database's statement store
+/// (GET /statements).
+///
 /// Request ids (chronolog_qstats): a client-supplied `X-Request-Id` (or a
-/// generated `q-...` id) is echoed as `request_id` in /query and /explain
-/// responses, attached to their log lines, and tags the evaluation's trace
-/// spans for `GET /trace?request=ID`.
+/// generated `q-...` id) is echoed as `request_id` in every /query and
+/// /explain response body, success and error alike, attached to their log
+/// lines, and tags the evaluation's trace spans for `GET /trace?request=ID`.
 ///
 /// `registry` must outlive the server; entries registered after Start() are
 /// served as soon as Add returns (Find is the only lookup on the hot path).

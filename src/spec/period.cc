@@ -139,7 +139,7 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
                          /*exact=*/false, {}};
   const int64_t g = std::max<int64_t>(1, program.MaxTemporalDepth());
 
-  int64_t m = std::max(options.initial_horizon, c + 4 * g + 4);
+  int64_t m = std::max(kInitialDoublingHorizon, c + 4 * g + 4);
   bool have_candidate = false;
   int64_t prev_k = -1;
   int64_t prev_p = -1;
@@ -240,8 +240,7 @@ Result<PeriodDetection> DetectPeriod(const Program& program,
                                      const Database& db,
                                      const PeriodDetectionOptions& options) {
   const int64_t c = db.MaxTemporalDepth();
-  ProgressivityReport progressive = CheckProgressive(program);
-  if (progressive.progressive) {
+  if (CheckProgressive(program).progressive) {
     ForwardOptions fwd;
     fwd.max_steps = options.max_horizon;
     fwd.max_facts = options.max_facts;
@@ -257,11 +256,6 @@ Result<PeriodDetection> DetectPeriod(const Program& program,
                            /*exact=*/true,
                            forward.stats};
     return result;
-  }
-  if (!options.allow_general) {
-    return FailedPreconditionError(
-        "DetectPeriod: program is not progressive (" + progressive.reason +
-        ") and the verified-doubling fallback is disabled");
   }
   return DetectByDoubling(program, db, options, c);
 }

@@ -13,16 +13,16 @@
 
 namespace chronolog {
 
+/// Smallest starting window of the verified-doubling detector; the first
+/// probe horizon is `max(kInitialDoublingHorizon, c + 4g + 4)` (database
+/// depth `c`, program temporal depth `g`).
+inline constexpr int64_t kInitialDoublingHorizon = 64;
+
 /// Options for minimal-period detection.
 struct PeriodDetectionOptions {
-  /// Starting window for the verified-doubling detector.
-  int64_t initial_horizon = 64;
   /// Hard ceiling for both detectors; exceeded => kResourceExhausted
   /// (periods can be exponential in the database size, Theorem 3.1).
   int64_t max_horizon = 1 << 20;
-  /// Permit the verified-doubling fallback for non-progressive programs.
-  /// When false, non-progressive programs fail with kFailedPrecondition.
-  bool allow_general = true;
   uint64_t max_facts = 50'000'000;
   /// Observability sinks (chronolog_obs), forwarded to the underlying
   /// fixpoints / forward simulation; null disables collection.

@@ -21,8 +21,8 @@ namespace chronolog {
 /// remaining keys are event-specific fields added through the builder.
 ///
 /// The process-wide threshold defaults to `warn` and is initialised once
-/// from $CHRONOLOG_LOG_LEVEL (`debug|info|warn|error|off`); engines can
-/// override it per-instance via `EngineOptions::log_level`. Lines go to
+/// from $CHRONOLOG_LOG_LEVEL (`debug|info|warn|error|off`) and can be
+/// changed at run time with `SetGlobalLogLevel`. Lines go to
 /// stderr unless a sink is injected with `SetLogSink` (tests capture lines
 /// that way; injection and emission are thread-safe).
 
@@ -58,7 +58,7 @@ class LogEvent {
  public:
   /// Threshold defaults to the process-wide level.
   LogEvent(LogLevel level, std::string_view event);
-  /// Explicit threshold (e.g. an engine's `EngineOptions::log_level`).
+  /// Explicit threshold instead of the process-wide level.
   LogEvent(LogLevel level, std::string_view event, LogLevel threshold);
   ~LogEvent();
 

@@ -54,40 +54,6 @@ void AppendFamilyHeader(std::string& out, const std::string& prom_name,
 
 }  // namespace
 
-void Gauge::Set(double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  last_ = value;
-  if (count_ == 0 || value < min_) min_ = value;
-  if (count_ == 0 || value > max_) max_ = value;
-  sum_ += value;
-  ++count_;
-}
-
-double Gauge::last() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_;
-}
-
-double Gauge::min() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return min_;
-}
-
-double Gauge::max() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_;
-}
-
-double Gauge::mean() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_ == 0 ? 0 : sum_ / static_cast<double>(count_);
-}
-
-uint64_t Gauge::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
 void Histogram::RecordMs(double ms) {
   const double ns = ms * 1e6;
   RecordValue(ns <= 0 ? 0 : static_cast<uint64_t>(ns));
@@ -161,15 +127,6 @@ Counter* MetricsRegistry::counter(std::string_view name) {
   return it->second.get();
 }
 
-Gauge* MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
 Histogram* MetricsRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
@@ -193,17 +150,6 @@ std::string MetricsRegistry::ToJson() const {
     if (!first) out += ",";
     first = false;
     out += "\"" + name + "\":" + std::to_string(counter->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":{\"last\":" + JsonNumber(gauge->last()) +
-           ",\"min\":" + JsonNumber(gauge->min()) +
-           ",\"max\":" + JsonNumber(gauge->max()) +
-           ",\"mean\":" + JsonNumber(gauge->mean()) +
-           ",\"count\":" + std::to_string(gauge->count()) + "}";
   }
   out += "},\"histograms\":{";
   first = true;
@@ -238,17 +184,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
     const std::string prom = PrometheusName(name);
     AppendFamilyHeader(out, prom, name, "counter");
     out += prom + " " + std::to_string(counter->value()) + "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    const std::string prom = PrometheusName(name);
-    AppendFamilyHeader(out, prom, name, "gauge");
-    out += prom + " " + JsonNumber(gauge->last()) + "\n";
-    const std::pair<const char*, double> variants[] = {
-        {"_min", gauge->min()}, {"_max", gauge->max()}, {"_mean", gauge->mean()}};
-    for (const auto& [suffix, value] : variants) {
-      AppendFamilyHeader(out, prom + suffix, name, "gauge");
-      out += prom + suffix + " " + JsonNumber(value) + "\n";
-    }
   }
   for (const auto& [name, hist] : histograms_) {
     const std::string prom = PrometheusName(name);

@@ -59,6 +59,23 @@ TEST(BtTest, ExactlyOneOfRangeHorizonRequired) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(BtTest, BoundOverflowIsOutOfRange) {
+  // m = max(c, h) + range would wrap for h = INT64_MAX and answer a silent
+  // "no"; BT must refuse with an error naming h and range instead.
+  ParsedUnit unit = MustParse("p(0). p(T+1) :- p(T).");
+  BtOptions options;
+  options.range = 2;
+  auto result = RunBt(unit.program, unit.database,
+                      MustGround(unit, "p(9223372036854775807)"), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(result.status().message().find("h = 9223372036854775807"),
+            std::string::npos)
+      << result.status();
+  EXPECT_NE(result.status().message().find("range = 2"), std::string::npos)
+      << result.status();
+}
+
 TEST(BtTest, SemiNaiveAndNaiveAgree) {
   std::mt19937 rng(99);
   ParsedUnit unit = MustParse(workload::PathProgramSource() +

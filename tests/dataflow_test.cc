@@ -56,9 +56,6 @@ TEST(FlowOffsetTest, BoundedChainGetsFiniteHorizonAndHint) {
   EXPECT_EQ(analysis.offsets.last_time[Pred(unit, "stage")], 3);
   EXPECT_EQ(analysis.offsets.last_time[Pred(unit, "done")], 5);
   EXPECT_EQ(analysis.offsets.period_divisor, 1);
-  // Bounded hint: the predicted horizon plus trailing slack.
-  EXPECT_TRUE(analysis.hints.bounded);
-  EXPECT_EQ(analysis.hints.initial_horizon, 5 + 8);
   EXPECT_TRUE(HasCode(analysis, flow_code::kStaticHorizon));
   EXPECT_FALSE(HasCode(analysis, flow_code::kUnboundedGrowth));
 }
@@ -95,8 +92,6 @@ TEST(FlowOffsetTest, EvenProgramClaimsSelfDelayPeriodTwo) {
   EXPECT_TRUE(HasCode(analysis, flow_code::kPeriodDivisor));
   // A certified periodic SCC is not flagged as structureless growth.
   EXPECT_FALSE(HasCode(analysis, flow_code::kUnboundedGrowth));
-  // Unbounded-with-divisor hint: c + detector slack for several cycles.
-  EXPECT_EQ(analysis.hints.initial_horizon, 0 + 4 * 2 + 8);
 }
 
 TEST(FlowOffsetTest, BothParitySeedsCollapseTheDivisorToOne) {
@@ -210,25 +205,22 @@ TEST(FlowDegreeTest, DegreeIsCappedByTheHeadArity) {
 
 TEST(FlowAdornTest, ConstantBoundAtomIsOrderedFirst) {
   ParsedUnit unit = MustParse(R"(
-    big(a, b).
-    key(b, c).
+    big0(a, b).
+    key0(b, c).
+    big(X, Y) :- big0(X, Y).
+    key(X, Y) :- key0(X, Y).
     ans(X) :- big(X, Y), key(Y, c).
   )");
-  FlowAnalysis analysis = Analyze(unit);
+  FlowOptions options;
+  options.roots = {"ans"};
+  FlowAnalysis analysis = Analyze(unit, options);
   // SIPS under an all-free head: key (one constant of two positions) beats
-  // big (all free), so the static prior reorders the body.
-  ASSERT_EQ(analysis.adornments.priors.size(), unit.program.rules().size());
-  EXPECT_EQ(analysis.adornments.priors[0], (std::vector<uint32_t>{1, 0}));
-  EXPECT_TRUE(HasCode(analysis, flow_code::kJoinOrderPrior));
-}
-
-TEST(FlowAdornTest, SourceOrderBodiesExportNoPrior) {
-  ParsedUnit unit = MustParse(workload::TransitiveClosureDatalogSource());
-  FlowAnalysis analysis = Analyze(unit);
-  for (const std::vector<uint32_t>& prior : analysis.adornments.priors) {
-    EXPECT_TRUE(prior.empty());
-  }
-  EXPECT_FALSE(HasCode(analysis, flow_code::kJoinOrderPrior));
+  // big (all free), so key is entered first and binds Y for big. Source
+  // order would give big "ff" and key "bb".
+  EXPECT_EQ(analysis.adornments.patterns[Pred(unit, "key")],
+            (std::vector<std::string>{"fb"}));
+  EXPECT_EQ(analysis.adornments.patterns[Pred(unit, "big")],
+            (std::vector<std::string>{"fb"}));
 }
 
 TEST(FlowAdornTest, PatternsPropagateFromExplicitRoots) {
@@ -266,22 +258,6 @@ TEST(FlowAdornTest, UnknownRootIsIgnoredWithoutPatterns) {
 }
 
 // --------------------------------------------------------------------------
-// Hints
-// --------------------------------------------------------------------------
-
-TEST(FlowHintsTest, HintIsClampedToTheConfiguredCap) {
-  ParsedUnit unit = MustParse(R"(
-    seed(0).
-    far(T+1000000) :- seed(T).
-  )");
-  FlowOptions options;
-  options.max_horizon_hint = 4096;
-  FlowAnalysis analysis = Analyze(unit, options);
-  EXPECT_TRUE(analysis.offsets.bounded);
-  EXPECT_EQ(analysis.hints.initial_horizon, 4096);
-}
-
-// --------------------------------------------------------------------------
 // Report surfaces
 // --------------------------------------------------------------------------
 
@@ -308,7 +284,7 @@ TEST(FlowReportTest, PassRegistryCoversEveryACode) {
        {flow_code::kOffsetCycle, flow_code::kUnboundedGrowth,
         flow_code::kStaticHorizon, flow_code::kPeriodDivisor,
         flow_code::kDegreeBudget, flow_code::kProgramDegree,
-        flow_code::kBindingPatterns, flow_code::kJoinOrderPrior}) {
+        flow_code::kBindingPatterns}) {
     EXPECT_NE(all_codes.find(code), std::string::npos) << code;
   }
 }

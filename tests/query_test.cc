@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "ast/parser.h"
+#include "core/engine.h"
 #include "eval/fixpoint.h"
 #include "query/query_eval.h"
 #include "util/metrics.h"
@@ -291,6 +292,23 @@ TEST_F(QueryLimitsTest, MaxRowsAboveAnswerSizeIsNotTruncation) {
   options.max_rows = 100000;
   QueryAnswer answer = EvalWith("tick(T)", options);
   EXPECT_FALSE(answer.truncated);
+}
+
+TEST_F(QueryLimitsTest, HugeTimeoutThroughTheFacadeIsUnlimited) {
+  // 2^62 ms overflows now() + timeout once converted to the clock's
+  // nanoseconds; unclamped, the deadline lands in the past and the answer
+  // comes back partial.
+  auto tdd = TemporalDatabase::FromSource(kWidePeriodSource);
+  ASSERT_TRUE(tdd.ok()) << tdd.status();
+  QueryLimits limits;
+  limits.timeout = std::chrono::milliseconds(int64_t{1} << 62);
+  auto limited = tdd->Query("~tick(T)", limits);
+  ASSERT_TRUE(limited.ok()) << limited.status();
+  auto unlimited = tdd->Query("~tick(T)");
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status();
+  EXPECT_FALSE(limited->partial);
+  EXPECT_EQ(limited->rows.size(), unlimited->rows.size());
+  EXPECT_EQ(limited->rows.size(), 127u);
 }
 
 TEST_F(QueryLimitsTest, LimitCountersAreRecorded) {

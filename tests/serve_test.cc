@@ -874,6 +874,47 @@ TEST_F(QueryEndpointTest, MalformedJsonIs400) {
       std::string::npos);
 }
 
+TEST_F(QueryEndpointTest, ErrorBodiesEchoTheRequestId) {
+  // Every 400/404 body of /query and /explain carries the request id, so a
+  // client can correlate failures as well as successes.
+  const int port = StartServer();
+  const std::vector<std::string> bodies = {
+      "{oops",
+      "[1,2]",
+      R"j({"no_query":1})j",
+      R"j({"query":1})j",
+      R"j({"query":"tick(T)","database":7})j",
+      R"j({"query":"tick(T)","database":"missing"})j",
+      R"j({"query":"unknown_pred(T)"})j",
+      R"j({"query":"tick(T)","deadline_ms":0})j",
+      R"j({"query":"tick(T)","max_rows":-1})j",
+  };
+  for (const char* path : {"/query", "/explain"}) {
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      const std::string& body = bodies[i];
+      const std::string id = "bad-" + std::to_string(i);
+      const std::string response = RawRequest(
+          port, std::string("POST ") + path +
+                    " HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                    "X-Request-Id: " + id + "\r\nContent-Length: " +
+                    std::to_string(body.size()) + "\r\n\r\n" + body);
+      // deadline_ms / max_rows are /query fields; /explain ignores them.
+      const bool explain_accepts =
+          std::string(path) == "/explain" && i + 2 >= bodies.size();
+      if (!explain_accepts) {
+        EXPECT_TRUE(response.find("HTTP/1.1 400") != std::string::npos ||
+                    response.find("HTTP/1.1 404") != std::string::npos)
+            << path << " " << body << "\n" << response;
+      }
+      auto json = ParseJson(Body(response));
+      ASSERT_TRUE(json.ok()) << path << " " << body << "\n" << response;
+      const JsonValue* echoed = json->Find("request_id");
+      ASSERT_NE(echoed, nullptr) << path << " " << body << "\n" << response;
+      EXPECT_EQ(echoed->string_value, id) << path << " " << body;
+    }
+  }
+}
+
 TEST_F(QueryEndpointTest, UnknownDatabaseIs404AndListsKnownOnes) {
   const int port = StartServer();
   const std::string response =

@@ -417,18 +417,6 @@ TEST_F(StatementEndpointTest, UnknownDatabaseIs404) {
             std::string::npos);
 }
 
-TEST_F(StatementEndpointTest, TrackingOffKeepsTheStoreEmpty) {
-  QueryServiceOptions options;
-  options.track_statements = false;
-  const int port = StartServer(options);
-  EXPECT_NE(Post(port, "/query", R"j({"query":"tick(0)"})j")
-                .find("HTTP/1.1 200"),
-            std::string::npos);
-  auto json = ParseJson(Body(Get(port, "/statements")));
-  ASSERT_TRUE(json.ok());
-  EXPECT_EQ(json->Find("statements")->array.size(), 0u);
-}
-
 TEST_F(StatementEndpointTest, RequestIdRoundTripsIntoResponses) {
   const int port = StartServer();
   auto json = ParseJson(

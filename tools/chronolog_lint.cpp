@@ -10,8 +10,8 @@
 //
 // With --analyze it additionally runs the chronolog_flow static analyses
 // (src/analysis/dataflow.h): temporal-offset bounds, polynomial degrees
-// and binding-pattern join-order priors, reported as A001..A008
-// diagnostics plus a summary block (text) or an "analysis" object (JSON).
+// and binding patterns, reported as A001..A007 diagnostics plus a summary
+// block (text) or an "analysis" object (JSON).
 //
 // Usage:
 //   chronolog-lint [flags] input.tdl [more.tdl ...]
@@ -21,7 +21,7 @@
 //   --strict              promote warnings to errors for the exit code
 //   --no-classify         skip the classification passes (L009-L011)
 //   --check-inflationary  run the Theorem 5.2 procedure (builds models)
-//   --analyze             run the chronolog_flow analyses (A001-A008)
+//   --analyze             run the chronolog_flow analyses (A001-A007)
 //   --degree-budget=N     degree budget for A005 warnings (default 8)
 //   --root=PRED           query root for reachability and adornments
 //   --disable=PASS        skip a pass by name (repeatable)
@@ -58,7 +58,7 @@ void PrintUsage() {
       "  --strict              promote warnings to errors (exit code)\n"
       "  --no-classify         skip classification passes (L009-L011)\n"
       "  --check-inflationary  run the Theorem 5.2 decision procedure\n"
-      "  --analyze             run the chronolog_flow analyses (A001-A008)\n"
+      "  --analyze             run the chronolog_flow analyses (A001-A007)\n"
       "  --degree-budget=N     degree budget for A005 warnings (default 8)\n"
       "  --root=PRED           query root for reachability and adornments\n"
       "  --disable=PASS        skip a pass by name (repeatable)\n"
