@@ -58,10 +58,42 @@ import os
 import sys
 
 tmp_dir, out_path, git_commit = sys.argv[1], sys.argv[2], sys.argv[3]
-# Host context matters for the threaded variants: on a single-CPU host they
-# report sequential time plus pool overhead, not a speedup. The commit hash
-# ties the snapshot to the exact tree it measured.
-records = {"_host": {"cpus": os.cpu_count(), "git_commit": git_commit}}
+
+
+def spin(_=None):
+    x = 0
+    for i in range(2_000_000):
+        x += i
+    return x
+
+
+def spin_probe(nproc):
+    """Effective parallelism, as the ledger records it: the same fixed spin
+    loop in one process, then in `nproc` processes at once; nproc * t1 / tn.
+    A shared host whose neighbours hold cores reads below nproc. Best of
+    three each, so one preempted pass does not read as a slow host."""
+    import multiprocessing
+    import time
+    one = all_ = float("inf")
+    with multiprocessing.Pool(nproc) as pool:
+        for _ in range(3):
+            t0 = time.perf_counter()
+            spin()
+            one = min(one, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            pool.map(spin, range(nproc), chunksize=1)
+            all_ = min(all_, time.perf_counter() - t0)
+    return round(nproc * one / all_, 2)
+
+
+# Host context: `cpus` is every online CPU of the machine, `nproc` honours
+# the CPU affinity mask (what this run could use), and the spin probe says
+# how many of those the neighbours left free. The commit hash ties the
+# snapshot to the exact tree it measured.
+nproc = len(os.sched_getaffinity(0))
+records = {"_host": {"cpus": os.cpu_count(), "nproc": nproc,
+                     "effective_parallelism": spin_probe(nproc),
+                     "git_commit": git_commit}}
 
 # chronolog_obs dump from the metered spec-build pass: the header records
 # std::thread::hardware_concurrency() as the engine saw it, and "_metrics"

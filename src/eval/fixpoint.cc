@@ -1,6 +1,8 @@
 #include "eval/fixpoint.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "util/metrics.h"
@@ -33,18 +35,6 @@ struct TaskPair {
   std::size_t rule;
   int pos;
 };
-
-/// Folds `fact` into `full`, maintaining inserted/min_new_time stats.
-void InsertIntoFull(const Vocabulary& vocab, Interpretation& full,
-                    PredicateId pred, int64_t time, const Tuple& args,
-                    EvalStats* stats) {
-  if (full.Insert(pred, time, args)) {
-    ++stats->inserted;
-    if (vocab.predicate(pred).is_temporal) {
-      stats->min_new_time = std::min(stats->min_new_time, time);
-    }
-  }
-}
 
 /// The shared semi-naive round loop: iterates `full`/`delta` to the least
 /// fixpoint of the truncated operator. `delta` must be a subset of `full`
@@ -98,6 +88,27 @@ Status RunSemiNaiveRounds(const Program& program,
     }
   }
 
+  // Derivations are buffered into `next_delta` and merged into `full`
+  // after the round: inserting into `full` mid-evaluation would invalidate
+  // the tuple-set iterators the rule evaluator is walking. Scratch buffers
+  // never serve SnapshotHash queries, so they skip hash maintenance; only
+  // `full` — the interpretation callers keep — pays for it. The two buffers
+  // and the derive sink live for the whole fixpoint: each round swaps the
+  // buffers and clears the new `next_delta`, so a round allocates only for
+  // the facts it stores.
+  Interpretation next_delta(program.vocab_ptr());
+  next_delta.DisableSnapshotHashing();
+  bool overflow = false;
+  const std::function<void(GroundAtom&&)> derive_sink =
+      [&](GroundAtom&& fact) {
+        if (!WithinBound(vocab, fact, options.max_time)) return;
+        if (full.Contains(fact)) return;
+        next_delta.Insert(fact.pred, fact.time, fact.args);
+        if (full.size() + next_delta.size() > options.max_facts) {
+          overflow = true;
+        }
+      };
+
   bool first_round = true;
   while (!delta.empty()) {
     ++stats->iterations;
@@ -108,14 +119,6 @@ Status RunSemiNaiveRounds(const Program& program,
         first_round ? all_pairs : steady_pairs;
     first_round = false;
 
-    // Derivations are buffered into `next_delta` and merged into `full`
-    // after the round: inserting into `full` mid-evaluation would invalidate
-    // the tuple-set iterators the rule evaluator is walking. Scratch buffers
-    // never serve SnapshotHash queries, so they skip hash maintenance; only
-    // `full` — the interpretation callers keep — pays for it.
-    Interpretation next_delta(program.vocab_ptr());
-    next_delta.DisableSnapshotHashing();
-    bool overflow = false;
     // Per-phase timers are sampled only on rounds with a non-trivial delta:
     // clock reads would otherwise dominate workloads with 10^5 one-fact
     // rounds (the depth-scaling benchmark). With a registry attached every
@@ -127,16 +130,9 @@ Status RunSemiNaiveRounds(const Program& program,
       TraceSpan derive_span(options.trace, "fixpoint.derive");
       PhaseTimer derive_timer(timed, &stats->derive_ms, derive_hist);
       for (const TaskPair& task : pairs) {
-        evaluators[task.rule].Evaluate(
-            full, &delta, task.pos, /*time_binding=*/std::nullopt, stats,
-            [&](GroundAtom&& fact) {
-              if (!WithinBound(vocab, fact, options.max_time)) return;
-              if (full.Contains(fact)) return;
-              next_delta.Insert(fact.pred, fact.time, std::move(fact.args));
-              if (full.size() + next_delta.size() > options.max_facts) {
-                overflow = true;
-              }
-            });
+        evaluators[task.rule].Evaluate(full, &delta, task.pos,
+                                       /*time_binding=*/std::nullopt, stats,
+                                       derive_sink);
         if (overflow) return TooLarge(options.max_facts);
       }
     }
@@ -144,12 +140,17 @@ Status RunSemiNaiveRounds(const Program& program,
     {
       TraceSpan merge_span(options.trace, "fixpoint.merge");
       PhaseTimer merge_timer(timed, &stats->merge_ms, merge_hist);
-      next_delta.ForEach(
-          [&](PredicateId pred, int64_t time, const Tuple& args) {
-            InsertIntoFull(vocab, full, pred, time, args, stats);
-          });
+      next_delta.ForEachRow([&](PredicateId pred, int64_t time,
+                                const SymbolId* args, std::size_t n) {
+        if (!full.Insert(pred, time, args, n)) return;
+        ++stats->inserted;
+        if (vocab.predicate(pred).is_temporal) {
+          stats->min_new_time = std::min(stats->min_new_time, time);
+        }
+      });
     }
-    delta = std::move(next_delta);
+    std::swap(delta, next_delta);
+    next_delta.Clear();
   }
   if (options.plan_report != nullptr) {
     // Snapshot the executed join plans before the evaluators die. Overwrites

@@ -106,13 +106,52 @@ struct RuleEvaluator::PlanCache {
   }
 };
 
+/// Matcher state of one Evaluate call, owned by the evaluator and reset on
+/// each call, so a warm evaluator matches and emits without allocating.
+/// Evaluators are single-threaded, and a sink must not re-enter the
+/// evaluator that called it (`busy` asserts this in debug builds).
+struct RuleEvaluator::Scratch {
+  /// Immutable per-step facts of the current plan, gathered once per call
+  /// outside the hot loop.
+  struct StepInfo {
+    const Atom* atom;
+    std::size_t pos;
+    bool is_delta;
+    int probe_col;
+  };
+
+  /// One frame per join step. A frame enumerates the candidate rows of its
+  /// atom: a bucket (index probe), a full relation scan, or — for an atom
+  /// whose temporal variable is still free — a walk over the predicate's
+  /// timeline, probing/scanning one snapshot cell at a time.
+  struct Frame {
+    const Relation* rel = nullptr;                  // current cell, null = done
+    const std::vector<uint32_t>* bucket = nullptr;  // probe rows, or null
+    std::size_t idx = 0;                            // cursor into bucket/rel
+    const std::map<int64_t, Relation>* timeline = nullptr;
+    std::map<int64_t, Relation>::const_iterator tl_it;
+    VarId tvar = kNoVar;  // temporal var this frame binds per cell
+    std::size_t trail_mark = 0;
+  };
+
+  Bindings bindings;
+  Trail trail;
+  std::vector<StepInfo> steps;
+  std::vector<Frame> frames;
+  GroundAtom head;  // instantiated head handed to the plain-emit sink
+  bool busy = false;
+
+  explicit Scratch(std::size_t num_vars) : bindings(num_vars) {}
+};
+
 RuleEvaluator::RuleEvaluator(const Rule& rule, const Vocabulary& vocab,
                              bool use_index, MetricsRegistry* metrics)
     : rule_(rule),
       vocab_(vocab),
       use_index_(use_index),
       plans_(std::make_unique<PlanCache>((rule.body.size() + 1) * 2,
-                                         metrics)) {}
+                                         metrics)),
+      scratch_(std::make_unique<Scratch>(rule.num_vars())) {}
 
 RuleEvaluator::~RuleEvaluator() = default;
 RuleEvaluator::RuleEvaluator(RuleEvaluator&&) noexcept = default;
@@ -318,55 +357,36 @@ void RuleEvaluator::EvaluateImpl(
     const std::function<void(GroundAtom&&)>* emit,
     const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>*
         emit_with_body) const {
-  Bindings bindings(rule_.num_vars());
+  Scratch& scratch = *scratch_;
+  assert(!scratch.busy && "a sink re-entered its own RuleEvaluator");
+  scratch.busy = true;
+  Bindings& bindings = scratch.bindings;
+  std::fill(bindings.bound.begin(), bindings.bound.end(), 0);
   if (time_binding.has_value()) {
     bindings.bound[time_binding->first] = 1;
     bindings.tval[time_binding->first] = time_binding->second;
   }
-
-  Trail trail;
+  Trail& trail = scratch.trail;
+  trail.clear();
 
   // Ground-instantiates `atom` under the current bindings (complete for
-  // the head by range-restriction; complete for body atoms at emit time).
-  auto instantiate = [&](const Atom& atom) {
-    GroundAtom fact;
-    fact.pred = atom.pred;
-    if (atom.temporal()) {
-      const TemporalTerm& tt = *atom.time;
-      if (tt.ground()) {
-        fact.time = tt.offset;
-      } else {
-        assert(bindings.bound[tt.var]);
-        fact.time = bindings.tval[tt.var] + tt.offset;
-      }
-    }
-    fact.args.reserve(atom.args.size());
-    for (const NtTerm& t : atom.args) {
-      if (t.is_constant()) {
-        fact.args.push_back(t.id);
-      } else {
-        assert(bindings.bound[t.id]);
-        fact.args.push_back(bindings.nval[t.id]);
-      }
-    }
-    return fact;
-  };
-
-  // Scratch head atom for the plain-emit path. Sinks that drop duplicates
-  // without moving the atom leave `scratch.args`'s capacity behind, so the
-  // (dominant) duplicate-derivation case allocates nothing. Sinks never
-  // retain a reference past the call, so reuse is safe.
-  GroundAtom scratch;
-  auto instantiate_head_into = [&](GroundAtom* fact) {
-    const Atom& atom = rule_.head;
+  // the head by range-restriction; complete for body atoms at emit time)
+  // into `*fact`, reusing its argument capacity. Returns false when the
+  // temporal term overflows int64: such a time lies past every truncation
+  // bound, so the instantiation is dropped.
+  auto instantiate_into = [&](const Atom& atom, GroundAtom* fact) {
     fact->pred = atom.pred;
+    fact->time = 0;
     if (atom.temporal()) {
       const TemporalTerm& tt = *atom.time;
       if (tt.ground()) {
         fact->time = tt.offset;
       } else {
         assert(bindings.bound[tt.var]);
-        fact->time = bindings.tval[tt.var] + tt.offset;
+        if (__builtin_add_overflow(bindings.tval[tt.var], tt.offset,
+                                   &fact->time)) {
+          return false;
+        }
       }
     }
     fact->args.clear();
@@ -378,63 +398,48 @@ void RuleEvaluator::EvaluateImpl(
         fact->args.push_back(bindings.nval[t.id]);
       }
     }
+    return true;
   };
 
+  // Sinks that drop duplicates without moving the head leave its argument
+  // capacity behind, so the (dominant) duplicate-derivation case allocates
+  // nothing. Sinks never retain a reference past the call, so reuse is safe.
+  uint64_t local_emits = 0;
   auto emit_head = [&]() {
+    if (!instantiate_into(rule_.head, &scratch.head)) return;
     if (stats != nullptr) ++stats->derived;
+    ++local_emits;
     if (emit_with_body != nullptr) {
-      std::vector<GroundAtom> body;
-      body.reserve(rule_.body.size());
-      for (const Atom& atom : rule_.body) body.push_back(instantiate(atom));
-      (*emit_with_body)(instantiate(rule_.head), std::move(body));
+      std::vector<GroundAtom> body(rule_.body.size());
+      for (std::size_t i = 0; i < body.size(); ++i) {
+        instantiate_into(rule_.body[i], &body[i]);
+      }
+      (*emit_with_body)(std::move(scratch.head), std::move(body));
     } else {
-      instantiate_head_into(&scratch);
-      (*emit)(std::move(scratch));
+      (*emit)(std::move(scratch.head));
     }
   };
 
   const std::size_t nsteps = rule_.body.size();
   uint64_t local_steps = 0;
-  uint64_t local_emits = 0;
 
-  if (nsteps == 0) {
-    emit_head();
-    ++local_emits;
-  }
+  if (nsteps == 0) emit_head();
 
   const int norm_pos = delta == nullptr ? -1 : delta_pos;
   JoinPlan* plan = nullptr;
   if (nsteps > 0) {
     plan = GetOrBuildPlan(full, delta, norm_pos, time_binding.has_value());
 
-    // Immutable per-step facts, gathered once outside the hot loop.
-    struct StepInfo {
-      const Atom* atom;
-      std::size_t pos;
-      bool is_delta;
-      int probe_col;
-    };
-    std::vector<StepInfo> steps;
-    steps.reserve(nsteps);
+    using StepInfo = Scratch::StepInfo;
+    using Frame = Scratch::Frame;
+    std::vector<StepInfo>& steps = scratch.steps;
+    steps.clear();
     for (const JoinPlan::Step& s : plan->steps) {
       const bool is_delta = static_cast<int>(s.pos) == norm_pos;
       steps.push_back({&rule_.body[s.pos], s.pos, is_delta, s.probe_col});
     }
-
-    // One frame per join step. A frame enumerates the candidate rows of its
-    // atom: a bucket (index probe), a full relation scan, or — for an atom
-    // whose temporal variable is still free — a walk over the predicate's
-    // timeline, probing/scanning one snapshot cell at a time.
-    struct Frame {
-      const Relation* rel = nullptr;             // current cell, null = done
-      const std::vector<uint32_t>* bucket = nullptr;  // probe rows, or null
-      std::size_t idx = 0;                       // cursor into bucket/rel
-      const std::map<int64_t, Relation>* timeline = nullptr;
-      std::map<int64_t, Relation>::const_iterator tl_it;
-      VarId tvar = kNoVar;  // temporal var this frame binds per cell
-      std::size_t trail_mark = 0;
-    };
-    std::vector<Frame> frames(nsteps);
+    std::vector<Frame>& frames = scratch.frames;
+    frames.resize(nsteps);
 
     // Points the frame at one concrete relation (a non-temporal predicate
     // or one snapshot cell), probing the planned column when its value is
@@ -511,8 +516,12 @@ void RuleEvaluator::EvaluateImpl(
         return;
       }
       if (bindings.bound[tt.var]) {
-        setup_cell(&f, source, atom, true, bindings.tval[tt.var] + tt.offset,
-                   si.probe_col);
+        // A time past INT64_MAX holds no facts: the frame stays empty.
+        int64_t time = 0;
+        if (!__builtin_add_overflow(bindings.tval[tt.var], tt.offset,
+                                    &time)) {
+          setup_cell(&f, source, atom, true, time, si.probe_col);
+        }
         return;
       }
       // Unbound temporal variable: walk the timeline; each usable cell
@@ -589,7 +598,6 @@ void RuleEvaluator::EvaluateImpl(
       if (MatchRow(*si.atom, *rel, row, &bindings, &trail)) {
         if (static_cast<std::size_t>(k) + 1 == nsteps) {
           emit_head();
-          ++local_emits;
           // Loop-top unwind discards this candidate's bindings.
         } else {
           ++k;
@@ -610,6 +618,7 @@ void RuleEvaluator::EvaluateImpl(
     plans_->actual_hist->RecordValue(local_steps /
                                      std::max<uint64_t>(1, local_emits));
   }
+  scratch.busy = false;
 }
 
 }  // namespace chronolog

@@ -105,6 +105,8 @@ class RuleEvaluator {
   /// atoms against `full`). When `time_binding` is set, the temporal
   /// variable `time_binding->first` is pre-bound to `time_binding->second`.
   /// Emitted ground atoms may repeat; the caller deduplicates on insert.
+  /// Heads whose time overflows int64 lie past every truncation bound and
+  /// are not emitted. `emit` must not call back into this evaluator.
   void Evaluate(
       const Interpretation& full, const Interpretation* delta, int delta_pos,
       std::optional<std::pair<VarId, int64_t>> time_binding,
@@ -136,6 +138,7 @@ class RuleEvaluator {
  private:
   struct JoinPlan;
   struct PlanCache;
+  struct Scratch;
 
   void EvaluateImpl(
       const Interpretation& full, const Interpretation* delta, int delta_pos,
@@ -155,9 +158,12 @@ class RuleEvaluator {
   const Rule& rule_;
   const Vocabulary& vocab_;
   bool use_index_;
-  // Cached join plans, one slot per (delta_pos, time_bound) configuration.
-  // Mutable: planning is an internal optimisation of const evaluation.
+  // Cached join plans, one slot per (delta_pos, time_bound) configuration,
+  // and the matcher scratch every Evaluate call reuses. Mutable: both are
+  // internal optimisations of const evaluation; an evaluator is used by one
+  // thread at a time.
   mutable std::unique_ptr<PlanCache> plans_;
+  mutable std::unique_ptr<Scratch> scratch_;
 };
 
 }  // namespace chronolog

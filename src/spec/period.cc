@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "eval/fixpoint.h"
 #include "util/metrics.h"
@@ -114,6 +115,40 @@ int64_t NextDoublingHorizon(int64_t m, int64_t max_horizon) {
 
 namespace {
 
+/// The first horizon a detector must reach is fixed by the database depth
+/// `c` and the program's temporal depth `g` before any period enters: the
+/// forward detector compares windows of `g` states that start after `c`
+/// (`c + g + 1`), verified doubling starts at `c + 4g + 4`. Returns
+/// `c + k * (g + 1)`, computed without overflow, or a budget error naming
+/// the quantity that puts it past `max_horizon` — the database depth or the
+/// rule offset, not the period.
+Result<int64_t> FirstProbe(int64_t c, int64_t g, int64_t k,
+                           int64_t max_horizon) {
+  int64_t g_term = 0;
+  int64_t first = 0;
+  const bool g_wraps = __builtin_add_overflow(g, 1, &g_term) ||
+                       __builtin_mul_overflow(g_term, k, &g_term);
+  if (!g_wraps && !__builtin_add_overflow(c, g_term, &first) &&
+      first <= max_horizon) {
+    return first;
+  }
+  const std::string formula =
+      "c + " + (k == 1 ? std::string() : std::to_string(k)) + "(g + 1)";
+  std::string culprit;
+  if (c > max_horizon) {
+    culprit = "the database depth c = " + std::to_string(c);
+  } else if (g_wraps || g_term > max_horizon) {
+    culprit = "the rule temporal offset g = " + std::to_string(g);
+  } else {
+    culprit = "the database depth c = " + std::to_string(c) +
+              " with the rule temporal offset g = " + std::to_string(g);
+  }
+  return ResourceExhaustedError(
+      "DetectPeriod: " + culprit + " puts the first period probe (" +
+      formula + ") past max_horizon = " + std::to_string(max_horizon) +
+      "; the depth exceeds the budget, not the period");
+}
+
 Result<PeriodDetection> DetectByDoubling(const Program& program,
                                          const Database& db,
                                          const PeriodDetectionOptions& options,
@@ -139,7 +174,9 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
                          /*exact=*/false, {}};
   const int64_t g = std::max<int64_t>(1, program.MaxTemporalDepth());
 
-  int64_t m = std::max(kInitialDoublingHorizon, c + 4 * g + 4);
+  CHRONOLOG_ASSIGN_OR_RETURN(const int64_t first_probe,
+                             FirstProbe(c, g, 4, options.max_horizon));
+  int64_t m = std::max(kInitialDoublingHorizon, first_probe);
   bool have_candidate = false;
   int64_t prev_k = -1;
   int64_t prev_p = -1;
@@ -241,6 +278,10 @@ Result<PeriodDetection> DetectPeriod(const Program& program,
                                      const PeriodDetectionOptions& options) {
   const int64_t c = db.MaxTemporalDepth();
   if (CheckProgressive(program).progressive) {
+    CHRONOLOG_RETURN_IF_ERROR(
+        FirstProbe(c, std::max<int64_t>(1, program.MaxTemporalDepth()), 1,
+                   options.max_horizon)
+            .status());
     ForwardOptions fwd;
     fwd.max_steps = options.max_horizon;
     fwd.max_facts = options.max_facts;

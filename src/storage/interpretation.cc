@@ -224,23 +224,20 @@ int64_t Interpretation::MaxTime() const {
 void Interpretation::ForEach(
     const std::function<void(PredicateId, int64_t, const Tuple&)>& fn) const {
   Tuple scratch;
-  for (std::size_t p = 0; p < non_temporal_.size(); ++p) {
-    PredicateId pred = static_cast<PredicateId>(p);
-    if (vocab_->predicate(pred).is_temporal) {
-      for (const auto& [time, rel] : temporal_[p]) {
-        for (uint32_t row = 0; row < rel.size(); ++row) {
-          rel.CopyRow(row, &scratch);
-          fn(pred, time, scratch);
-        }
-      }
-    } else {
-      const Relation& rel = non_temporal_[p];
-      for (uint32_t row = 0; row < rel.size(); ++row) {
-        rel.CopyRow(row, &scratch);
-        fn(pred, 0, scratch);
-      }
-    }
-  }
+  ForEachRow([&](PredicateId pred, int64_t time, const SymbolId* args,
+                 std::size_t n) {
+    scratch.assign(args, args + n);
+    fn(pred, time, scratch);
+  });
+}
+
+void Interpretation::Clear() {
+  for (Relation& rel : non_temporal_) rel.Clear();
+  for (auto& timeline : temporal_) timeline.clear();
+  size_ = 0;
+  snapshot_hashes_.clear();
+  nt_index_.clear();
+  t_index_.clear();
 }
 
 Interpretation Interpretation::Truncate(int64_t m) const {

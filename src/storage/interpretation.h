@@ -101,6 +101,34 @@ class Interpretation {
   void ForEach(
       const std::function<void(PredicateId, int64_t, const Tuple&)>& fn) const;
 
+  /// ForEach without the type erasure and the Tuple copy: `fn` receives
+  /// (pred, time, args, n) with `args[0..n)` pointing into the stored row.
+  /// Same order as ForEach. Allocation-free — the fixpoint merge loop.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    for (std::size_t p = 0; p < non_temporal_.size(); ++p) {
+      const PredicateId pred = static_cast<PredicateId>(p);
+      if (vocab_->predicate(pred).is_temporal) {
+        for (const auto& [time, rel] : temporal_[p]) {
+          for (uint32_t row = 0; row < rel.size(); ++row) {
+            fn(pred, time, rel.row_data(row), rel.arity());
+          }
+        }
+      } else {
+        const Relation& rel = non_temporal_[p];
+        for (uint32_t row = 0; row < rel.size(); ++row) {
+          fn(pred, int64_t{0}, rel.row_data(row), rel.arity());
+        }
+      }
+    }
+  }
+
+  /// Removes every fact (and every column index) but keeps the
+  /// per-predicate slots and the non-temporal relations' capacity, so a
+  /// reused scratch interpretation — the semi-naive round delta — refills
+  /// with fewer allocations. Keeps the snapshot-hashing setting.
+  void Clear();
+
   /// Copy of this interpretation with every temporal fact at time > `m`
   /// removed — the paper's `L'(0...m) ∪ L'_nt` truncation used by BT.
   Interpretation Truncate(int64_t m) const;

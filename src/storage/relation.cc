@@ -38,20 +38,20 @@ void Relation::SetCtrl(std::size_t slot, uint8_t byte) {
   if (slot < kGroup - 1) ctrl_[cap_ + slot] = byte;  // mirrored tail
 }
 
-std::size_t Relation::HashOfRow(std::size_t row) const {
-  std::size_t seed = arity_;
-  for (std::size_t c = 0; c < arity_; ++c) {
-    HashCombine(seed, static_cast<std::size_t>(cols_[c][row]));
-  }
-  return Mix64(seed);
-}
-
 bool Relation::RowEqualsData(std::size_t row, const SymbolId* data,
                              std::size_t n) const {
+  const SymbolId* stored = row_data(row);
   for (std::size_t c = 0; c < n; ++c) {
-    if (cols_[c][row] != data[c]) return false;
+    if (stored[c] != data[c]) return false;
   }
   return true;
+}
+
+bool Relation::ScanContains(const SymbolId* data, std::size_t n) const {
+  for (std::size_t row = 0; row < num_rows_; ++row) {
+    if (RowEqualsData(row, data, n)) return true;
+  }
+  return false;
 }
 
 uint32_t Relation::FindRow(const SymbolId* data, std::size_t n,
@@ -105,7 +105,7 @@ void Relation::Grow() {
   // Rows are unique by construction, so re-placement needs no equality
   // probes — just the first free slot on each row's probe path.
   for (std::size_t row = 0; row < num_rows_; ++row) {
-    PlaceRow(row, HashOfRow(row));
+    PlaceRow(row, RowHash(row_data(row), arity_));
   }
 }
 
@@ -113,17 +113,21 @@ bool Relation::Insert(const SymbolId* data, std::size_t n) {
   if (!arity_set_) {
     arity_ = static_cast<uint32_t>(n);
     arity_set_ = true;
-    cols_.resize(n);
   }
   assert(n == arity_);
-  // Grow at 7/8 load (keeps probe sequences short; amortised O(1)).
-  if (cap_ == 0 || (num_rows_ + 1) * 8 > cap_ * 7) Grow();
-  const std::size_t hash = RowHash(data, n);
-  std::size_t insert_slot = 0;
-  if (FindRow(data, n, hash, &insert_slot) != kNotFound) return false;
-  SetCtrl(insert_slot, TagOf(hash));
-  slots_[insert_slot] = num_rows_;
-  for (std::size_t c = 0; c < n; ++c) cols_[c].push_back(data[c]);
+  if (cap_ == 0 && num_rows_ < kInlineRows) {
+    if (ScanContains(data, n)) return false;
+  } else {
+    // The row that overflows the inline scan builds the table; from then on
+    // it grows at 7/8 load (keeps probe sequences short; amortised O(1)).
+    if (cap_ == 0 || (num_rows_ + 1) * 8 > cap_ * 7) Grow();
+    const std::size_t hash = RowHash(data, n);
+    std::size_t insert_slot = 0;
+    if (FindRow(data, n, hash, &insert_slot) != kNotFound) return false;
+    SetCtrl(insert_slot, TagOf(hash));
+    slots_[insert_slot] = num_rows_;
+  }
+  rows_.insert(rows_.end(), data, data + n);
   ++num_rows_;
   return true;
 }
@@ -131,7 +135,17 @@ bool Relation::Insert(const SymbolId* data, std::size_t n) {
 bool Relation::Contains(const SymbolId* data, std::size_t n) const {
   if (num_rows_ == 0) return false;
   assert(n == arity_);
+  if (cap_ == 0) return ScanContains(data, n);
   return FindRow(data, n, RowHash(data, n), nullptr) != kNotFound;
+}
+
+void Relation::Clear() {
+  rows_.clear();
+  num_rows_ = 0;
+  ctrl_.clear();
+  slots_.clear();
+  cap_ = 0;
+  distinct_cache_.clear();
 }
 
 Tuple Relation::Row(std::size_t row) const {
@@ -141,19 +155,16 @@ Tuple Relation::Row(std::size_t row) const {
 }
 
 void Relation::CopyRow(std::size_t row, Tuple* out) const {
-  out->clear();
-  out->reserve(arity_);
-  for (std::size_t c = 0; c < arity_; ++c) out->push_back(cols_[c][row]);
+  const SymbolId* data = row_data(row);
+  out->assign(data, data + arity_);
 }
 
 bool operator==(const Relation& a, const Relation& b) {
   if (a.num_rows_ != b.num_rows_) return false;
   if (a.num_rows_ == 0) return true;
   if (a.arity_ != b.arity_) return false;
-  Tuple scratch;
   for (std::size_t row = 0; row < a.num_rows_; ++row) {
-    a.CopyRow(row, &scratch);
-    if (!b.Contains(scratch.data(), scratch.size())) return false;
+    if (!b.Contains(a.row_data(row), a.arity_)) return false;
   }
   return true;
 }
@@ -169,9 +180,8 @@ std::size_t Relation::DistinctInColumn(std::size_t col) const {
   const std::size_t step = std::max<std::size_t>(1, num_rows_ / kSample);
   std::vector<SymbolId> sample;
   sample.reserve(std::min<std::size_t>(num_rows_, kSample + 1));
-  const std::vector<SymbolId>& column = cols_[col];
   for (std::size_t row = 0; row < num_rows_; row += step) {
-    sample.push_back(column[row]);
+    sample.push_back(at(row, col));
   }
   std::sort(sample.begin(), sample.end());
   const std::size_t distinct = static_cast<std::size_t>(

@@ -12,28 +12,35 @@
 
 namespace chronolog {
 
-/// Columnar, deduplicated set of same-arity tuples — the storage unit behind
-/// every predicate (and, for temporal predicates, every snapshot cell) of an
+/// Deduplicated set of same-arity tuples — the storage unit behind every
+/// predicate (and, for temporal predicates, every snapshot cell) of an
 /// Interpretation.
 ///
-/// Layout: one flat `SymbolId` vector per column, rows identified by their
-/// append order (`uint32_t` row ids, dense `[0, size())`). Deduplication and
-/// membership run through a compact open-addressing table (swiss-table
-/// style: one control byte per slot holding a 7-bit tag of the row hash,
-/// probed eight slots at a time with SWAR word ops), whose slots store row
-/// ids — so `Insert`/`Contains` touch one contiguous control array plus the
-/// column vectors, never per-tuple heap nodes.
+/// Layout: one flat row-major `SymbolId` vector (row `r` occupies
+/// `[r * arity, (r + 1) * arity)`), rows identified by their append order
+/// (`uint32_t` row ids, dense `[0, size())`). A cell of at most
+/// `kInlineRows` rows deduplicates and answers `Contains` by a linear scan
+/// and owns no hash table: most snapshot cells hold a handful of facts, and
+/// for them one allocation (none for arity 0) is the whole cost. The 9th row
+/// builds a compact open-addressing table (swiss-table style: one control
+/// byte per slot holding a 7-bit tag of the row hash, probed eight slots at
+/// a time with SWAR word ops), whose slots store row ids — so
+/// `Insert`/`Contains` touch one contiguous control array plus the row
+/// vector, never per-tuple heap nodes.
 ///
 /// Rows are append-only: there is no erase, so row ids are stable for the
 /// lifetime of the relation (truncation at the Interpretation level drops
-/// whole Relations). The arity is fixed by the first insert; a
-/// default-constructed relation accepts any arity once.
+/// whole Relations; `Clear` empties one for reuse). The arity is fixed by
+/// the first insert; a default-constructed relation accepts any arity once.
 ///
 /// Thread-safety: concurrent readers are safe, except `DistinctInColumn`,
 /// which refreshes an internal statistics cache; any write requires
 /// exclusive access.
 class Relation {
  public:
+  /// Cells up to this many rows deduplicate by linear scan, without a hash
+  /// table.
+  static constexpr std::size_t kInlineRows = 8;
 
   std::size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
@@ -41,7 +48,12 @@ class Relation {
 
   /// Value of column `col` in row `row`. No bounds checks in release builds.
   SymbolId at(std::size_t row, std::size_t col) const {
-    return cols_[col][row];
+    return rows_[row * arity_ + col];
+  }
+
+  /// The `arity()` values of row `row`, contiguous.
+  const SymbolId* row_data(std::size_t row) const {
+    return rows_.data() + row * arity_;
   }
 
   /// Inserts the tuple `data[0..n)`; returns true when it was new. `n` must
@@ -54,10 +66,14 @@ class Relation {
     return Contains(tuple.data(), tuple.size());
   }
 
-  /// Materialises row `row` as a Tuple (gathers across the columns).
+  /// Removes every row but keeps the arity and the storage capacity, so a
+  /// reused relation refills without allocating.
+  void Clear();
+
+  /// Materialises row `row` as a Tuple.
   Tuple Row(std::size_t row) const;
 
-  /// Gathers row `row` into `*out` (cleared first; capacity is reused, so a
+  /// Copies row `row` into `*out` (cleared first; capacity is reused, so a
   /// scratch tuple makes repeated enumeration allocation-free).
   void CopyRow(std::size_t row, Tuple* out) const;
 
@@ -80,9 +96,11 @@ class Relation {
   static std::size_t RowHash(const SymbolId* data, std::size_t n) {
     return Mix64(HashRange(data, n, n));
   }
-  std::size_t HashOfRow(std::size_t row) const;
   bool RowEqualsData(std::size_t row, const SymbolId* data,
                      std::size_t n) const;
+
+  /// Linear-scan membership test of an inline (table-less) relation.
+  bool ScanContains(const SymbolId* data, std::size_t n) const;
 
   /// Core probe: returns the row id matching `data`, or `kNotFound` with
   /// `*insert_slot` set to the first free slot on the probe path.
@@ -94,12 +112,13 @@ class Relation {
   void PlaceRow(std::size_t row, std::size_t hash);
   void SetCtrl(std::size_t slot, uint8_t byte);
 
-  std::vector<std::vector<SymbolId>> cols_;
+  std::vector<SymbolId> rows_;  // row-major, `arity_` values per row
   uint32_t num_rows_ = 0;
   uint32_t arity_ = 0;
   bool arity_set_ = false;
 
-  // Open-addressing dedup table: `ctrl_` has `cap_ + kGroup - 1` bytes (the
+  // Open-addressing dedup table, empty (`cap_ == 0`) while the relation
+  // holds at most kInlineRows rows: `ctrl_` has `cap_ + kGroup - 1` bytes (the
   // tail mirrors the first kGroup-1 slots so unaligned 8-byte group loads
   // never wrap), `slots_` has `cap_` row ids. `cap_` is a power of two.
   std::vector<uint8_t> ctrl_;

@@ -90,10 +90,7 @@ void SetLogSink(LogSink sink) {
 }
 
 LogEvent::LogEvent(LogLevel level, std::string_view event)
-    : LogEvent(level, event, GlobalLogLevel()) {}
-
-LogEvent::LogEvent(LogLevel level, std::string_view event, LogLevel threshold)
-    : enabled_(level >= threshold && level != LogLevel::kOff) {
+    : enabled_(level >= GlobalLogLevel() && level != LogLevel::kOff) {
   if (!enabled_) return;
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   const int64_t ts_us =

@@ -56,10 +56,8 @@ void SetLogSink(LogSink sink);
 /// no allocation, no field formatting, no clock read.
 class LogEvent {
  public:
-  /// Threshold defaults to the process-wide level.
+  /// Emitted when `level` reaches the process-wide level.
   LogEvent(LogLevel level, std::string_view event);
-  /// Explicit threshold instead of the process-wide level.
-  LogEvent(LogLevel level, std::string_view event, LogLevel threshold);
   ~LogEvent();
 
   LogEvent(const LogEvent&) = delete;

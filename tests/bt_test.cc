@@ -76,6 +76,27 @@ TEST(BtTest, BoundOverflowIsOutOfRange) {
       << result.status();
 }
 
+TEST(BtTest, HeadTimeOverflowIsDropped) {
+  // 5 + INT64_MAX wraps to a negative time that passes the truncation
+  // test; the evaluator must drop the head instead (the true time lies past
+  // every bound). Also runs under the UBSan stage, which flags the wrap.
+  ParsedUnit unit =
+      MustParse("p(T+9223372036854775807) :- q(T). q(5). r(1).");
+  const PredicateId p = unit.program.vocab().FindPredicate("p");
+  for (bool semi_naive : {true, false}) {
+    BtOptions options;
+    options.horizon = 100;
+    options.semi_naive = semi_naive;
+    auto result =
+        RunBt(unit.program, unit.database, MustGround(unit, "r(1)"), options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->answer);
+    EXPECT_TRUE(result->model.Timeline(p).empty())
+        << "semi_naive=" << semi_naive;
+    EXPECT_EQ(result->model.size(), 2u) << "semi_naive=" << semi_naive;
+  }
+}
+
 TEST(BtTest, SemiNaiveAndNaiveAgree) {
   std::mt19937 rng(99);
   ParsedUnit unit = MustParse(workload::PathProgramSource() +

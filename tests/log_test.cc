@@ -94,19 +94,6 @@ TEST(LogTest, OffSilencesEverything) {
   EXPECT_TRUE(capture.lines().empty());
 }
 
-TEST(LogTest, ExplicitThresholdOverridesGlobal) {
-  LogCapture capture;
-  SetGlobalLogLevel(LogLevel::kOff);
-  // Engine-style per-instance threshold: emitted despite the global "off".
-  LogEvent(LogLevel::kInfo, "engine.event", LogLevel::kDebug).Int("n", 1);
-  // And the reverse: a permissive global does not rescue a strict override.
-  SetGlobalLogLevel(LogLevel::kDebug);
-  LogEvent(LogLevel::kInfo, "dropped.event", LogLevel::kError);
-  const auto lines = capture.lines();
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("engine.event"), std::string::npos);
-}
-
 TEST(LogTest, EscapesStringsForJson) {
   LogCapture capture;
   SetGlobalLogLevel(LogLevel::kInfo);

@@ -119,6 +119,35 @@ TEST(DetectPeriodTest, HorizonBudgetIsEnforced) {
   EXPECT_EQ(detection.status().code(), StatusCode::kResourceExhausted);
 }
 
+// A huge database depth `c` or rule offset `g` puts the very first probe
+// past max_horizon; the budget error must name that quantity, not blame an
+// exponential period.
+void ExpectDepthBudgetError(std::string_view src, const std::string& names) {
+  ParsedUnit unit = MustParse(src);
+  auto detection = DetectPeriod(unit.program, unit.database);
+  ASSERT_FALSE(detection.ok()) << src;
+  EXPECT_EQ(detection.status().code(), StatusCode::kResourceExhausted);
+  const std::string message(detection.status().message());
+  EXPECT_NE(message.find(names), std::string::npos) << message;
+  EXPECT_EQ(message.find("Theorem 3.1"), std::string::npos) << message;
+}
+
+TEST(DetectPeriodTest, DatabaseDepthBudgetNamesC) {
+  ExpectDepthBudgetError("p(T+1) :- p(T). p(9223372036854775806).",
+                         "database depth c = 9223372036854775806");
+}
+
+TEST(DetectPeriodTest, RuleOffsetBudgetNamesG) {
+  ExpectDepthBudgetError("p(T+9223372036854775807) :- q(T). q(5). r(1).",
+                         "rule temporal offset g = 9223372036854775807");
+}
+
+TEST(DetectPeriodTest, DoublingDepthBudgetNamesC) {
+  // Not progressive, so the doubling start c + 4g + 4 must not wrap.
+  ExpectDepthBudgetError("p(T) :- p(T+1). p(9223372036854775806).",
+                         "database depth c = 9223372036854775806");
+}
+
 // --------------------------------------------------------------------------
 // RelationalSpecification: the paper's `even` example, literally
 // --------------------------------------------------------------------------
