@@ -507,8 +507,11 @@ PY
 echo "serve gate: ok"
 
 echo "== sanitizer build + tests ($SAN_BUILD_DIR) =="
+# RelWithDebInfo without its default -DNDEBUG: the contract asserts (probe
+# row-id ranges, non-negative insert times, evaluator re-entry) run here.
 cmake -B "$SAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g" \
   "-DCHRONOLOG_SANITIZE=address;undefined"
 cmake --build "$SAN_BUILD_DIR" -j "$JOBS"
 # halt_on_error makes UBSan findings fail the run instead of just logging.

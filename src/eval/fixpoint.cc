@@ -90,14 +90,11 @@ Status RunSemiNaiveRounds(const Program& program,
 
   // Derivations are buffered into `next_delta` and merged into `full`
   // after the round: inserting into `full` mid-evaluation would invalidate
-  // the tuple-set iterators the rule evaluator is walking. Scratch buffers
-  // never serve SnapshotHash queries, so they skip hash maintenance; only
-  // `full` — the interpretation callers keep — pays for it. The two buffers
+  // the tuple-set iterators the rule evaluator is walking. The two buffers
   // and the derive sink live for the whole fixpoint: each round swaps the
   // buffers and clears the new `next_delta`, so a round allocates only for
   // the facts it stores.
   Interpretation next_delta(program.vocab_ptr());
-  next_delta.DisableSnapshotHashing();
   bool overflow = false;
   const std::function<void(GroundAtom&&)> derive_sink =
       [&](GroundAtom&& fact) {
@@ -276,7 +273,6 @@ Result<Interpretation> SemiNaiveFixpoint(const Program& program,
   const Vocabulary& vocab = program.vocab();
   Interpretation full(program.vocab_ptr());
   Interpretation delta(program.vocab_ptr());
-  delta.DisableSnapshotHashing();
   for (const GroundAtom& f : db.facts()) {
     if (!WithinBound(vocab, f, options.max_time)) continue;
     if (full.Insert(f)) {
@@ -313,7 +309,6 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
 
   Interpretation full = std::move(prior);
   Interpretation delta(program.vocab_ptr());
-  delta.DisableSnapshotHashing();
 
   // (a) Database facts the old bound truncated away.
   for (const GroundAtom& f : db.facts()) {

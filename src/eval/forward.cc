@@ -160,10 +160,10 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
   }
 
   // Window detection: start times of previously seen windows of g states,
-  // bucketed by window hash. Per-state hashes are read in O(1) from the
-  // model's incrementally maintained snapshot hashes — no State is ever
-  // extracted during simulation; candidates with equal window hashes are
-  // verified against the live snapshots directly.
+  // bucketed by window hash. Each timestep's state hash is computed once,
+  // from the model's cells at that time, when the timestep closes — no State
+  // is ever extracted during simulation; candidates with equal window hashes
+  // are verified against the live snapshots directly.
   std::vector<std::size_t> state_hashes;
   std::unordered_map<std::size_t, std::vector<int64_t>> seen_windows;
   auto window_hash = [&](int64_t s) {
@@ -247,12 +247,12 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
     }
 
     step_timer.Stop();
-    state_hashes.push_back(model.SnapshotHash(t));
     result.horizon = t;
 
     TraceSpan detect_span(options.trace, "forward.detection");
     PhaseTimer detect_timer(metrics != nullptr, /*field=*/nullptr,
                             detect_hist);
+    state_hashes.push_back(model.SnapshotHash(t));
     // Period detection: windows of g consecutive states starting at
     // s >= c+1 evolve deterministically (no database injection past c).
     int64_t s = t - g + 1;  // start of the newest complete window

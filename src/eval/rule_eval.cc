@@ -443,7 +443,8 @@ void RuleEvaluator::EvaluateImpl(
 
     // Points the frame at one concrete relation (a non-temporal predicate
     // or one snapshot cell), probing the planned column when its value is
-    // known, falling back to the first bound column, else scanning. Leaves
+    // known, falling back to the first bound column, else scanning (always
+    // for cells of at most Relation::kInlineRows rows). Leaves
     // `f->rel` null when the probe proves there are no candidates.
     auto setup_cell = [&](Frame* f, const Interpretation& source,
                           const Atom& atom, bool temporal, int64_t time,
@@ -451,7 +452,9 @@ void RuleEvaluator::EvaluateImpl(
       const Relation& rel = temporal ? source.Snapshot(atom.pred, time)
                                      : source.NonTemporal(atom.pred);
       if (rel.empty()) return;
-      if (use_index_) {
+      // A cell of at most kInlineRows rows is scanned: MatchRow checks every
+      // bound column, and the scan builds no column index for the cell.
+      if (use_index_ && rel.size() > Relation::kInlineRows) {
         auto known = [&](const NtTerm& t, SymbolId* out) {
           if (t.is_constant()) {
             *out = t.id;

@@ -43,8 +43,9 @@ using RulePlanReport = std::vector<std::vector<PlanSlotReport>>;
 ///
 /// The `*_ms` fields are per-phase wall-clock timers maintained by the
 /// fixpoint drivers: `derive_ms` covers rule evaluation, `merge_ms` covers
-/// folding the round delta into the full model, `extract_ms` covers per-time
-/// state extraction during period detection. `min_new_time` is the smallest
+/// folding the round delta into the full model, `extract_ms` covers the
+/// verified-doubling detector's per-time snapshot hashing (named for the
+/// state extraction that hashing replaced). `min_new_time` is the smallest
 /// time point that gained a temporal fact (INT64_MAX when none did) — the
 /// staleness bound consumed by the incremental horizon-extension loop.
 struct EvalStats {
@@ -89,8 +90,10 @@ class RuleEvaluator {
  public:
   /// `rule` and `vocab` must outlive the evaluator. With `use_index` the
   /// evaluator probes the interpretation's lazily built column indexes when
-  /// a body atom has a bound argument (hash join); without it every match
-  /// scans the relation (the nested-loop baseline of experiment E8).
+  /// a body atom has a bound argument and its relation holds more than
+  /// Relation::kInlineRows rows (hash join); smaller relations, and every
+  /// relation without it, are scanned (the nested-loop baseline of
+  /// experiment E8).
   /// `metrics` (nullable) receives the `join.*` instrument family: plan
   /// builds, cache hits, re-plans, order changes, and the estimated vs
   /// actual steps-per-emission histograms.

@@ -218,8 +218,8 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
       }
     }
     {
-      // What remains of the old extraction phase: an O(changed suffix)
-      // refresh of cached hash words.
+      // What remains of the old extraction phase: the changed suffix's
+      // snapshots are hashed in place into the cached hash words.
       TraceSpan update_span(options.trace, "period.update");
       PhaseTimer update_timer(/*enabled=*/true, &round_stats.extract_ms,
                               update_hist);

@@ -36,8 +36,8 @@ struct PeriodDetectionOptions {
 
 /// Outcome of period detection: the minimal period of `M_{Z∧D}` and the
 /// least model materialised far enough to build a relational specification.
-/// Per-time states are not materialised (detection runs on the model's
-/// incrementally maintained snapshot hashes); callers that want them use
+/// Per-time states are not materialised (detection runs on snapshot hashes
+/// computed in place from the model); callers that want them use
 /// ExtractStates(model, 0, horizon).
 struct PeriodDetection {
   Period period;
@@ -78,7 +78,7 @@ bool FindMinimalPeriodInWindow(const std::vector<State>& states,
 /// The verified-doubling detector keeps one tracker alive across doublings:
 /// instead of re-extracting every state and re-scanning the full window at
 /// each probe, per-period mismatch frontiers are carried forward and only
-/// the hashes from `changed_from` on are re-read.
+/// the snapshots from `changed_from` on are re-hashed.
 ///
 /// Hash agreement is necessary but not sufficient for state equality, so the
 /// winning candidate is verified against the live snapshots (VerifyCandidate)

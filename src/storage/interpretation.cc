@@ -16,27 +16,6 @@ Interpretation::Interpretation(std::shared_ptr<Vocabulary> vocab)
   temporal_.resize(vocab_->num_predicates());
 }
 
-Interpretation::Interpretation(const Interpretation& other)
-    : vocab_(other.vocab_),
-      non_temporal_(other.non_temporal_),
-      temporal_(other.temporal_),
-      size_(other.size_),
-      snapshot_hashes_(other.snapshot_hashes_),
-      snapshot_hashing_(other.snapshot_hashing_) {}
-
-Interpretation& Interpretation::operator=(const Interpretation& other) {
-  if (this == &other) return *this;
-  vocab_ = other.vocab_;
-  non_temporal_ = other.non_temporal_;
-  temporal_ = other.temporal_;
-  size_ = other.size_;
-  snapshot_hashes_ = other.snapshot_hashes_;
-  snapshot_hashing_ = other.snapshot_hashing_;
-  nt_index_.clear();
-  t_index_.clear();
-  return *this;
-}
-
 void Interpretation::EnsurePred(PredicateId pred) {
   // The vocabulary may have grown since construction (e.g. normalization
   // introduces predicates); grow lazily.
@@ -85,24 +64,27 @@ bool Interpretation::Insert(PredicateId pred, int64_t time,
   }
   if (!rel->Insert(args, n)) return false;
   ++size_;
-  if (temporal && snapshot_hashing_) {
-    // `+ 1` carries the fact-count term of State::Hash.
-    snapshot_hashes_[time] += FactHash(pred, args, n) + 1;
-  }
   IndexInsertedRow(pred, temporal, time, *rel,
                    static_cast<uint32_t>(rel->size() - 1));
   return true;
 }
 
 std::size_t Interpretation::SnapshotHash(int64_t time) const {
-  assert(snapshot_hashing_);
-  auto it = snapshot_hashes_.find(time);
-  return it == snapshot_hashes_.end() ? 0 : it->second;
+  std::size_t hash = 0;
+  for (std::size_t p = 0; p < temporal_.size(); ++p) {
+    auto cell = temporal_[p].find(time);
+    if (cell == temporal_[p].end()) continue;
+    const Relation& rel = cell->second;
+    for (uint32_t row = 0; row < rel.size(); ++row) {
+      // `+ 1` carries the fact-count term of State::Hash.
+      hash += FactHash(p, rel.row_data(row), rel.arity()) + 1;
+    }
+  }
+  return hash;
 }
 
 bool Interpretation::SnapshotEquals(int64_t t1, int64_t t2) const {
   if (t1 == t2) return true;
-  if (snapshot_hashing_ && SnapshotHash(t1) != SnapshotHash(t2)) return false;
   for (const auto& timeline : temporal_) {
     auto i1 = timeline.find(t1);
     auto i2 = timeline.find(t2);
@@ -111,11 +93,6 @@ bool Interpretation::SnapshotEquals(int64_t t1, int64_t t2) const {
     if (a != b) return false;
   }
   return true;
-}
-
-void Interpretation::DisableSnapshotHashing() {
-  snapshot_hashing_ = false;
-  snapshot_hashes_.clear();
 }
 
 const std::vector<uint32_t>* Interpretation::FindBucket(
@@ -235,15 +212,8 @@ void Interpretation::Clear() {
   for (Relation& rel : non_temporal_) rel.Clear();
   for (auto& timeline : temporal_) timeline.clear();
   size_ = 0;
-  snapshot_hashes_.clear();
   nt_index_.clear();
   t_index_.clear();
-}
-
-Interpretation Interpretation::Truncate(int64_t m) const {
-  Interpretation out = *this;
-  out.TruncateInPlace(m);
-  return out;
 }
 
 void Interpretation::TruncateInPlace(int64_t m) {
@@ -253,11 +223,6 @@ void Interpretation::TruncateInPlace(int64_t m) {
       size_ -= it->second.size();
       it = timeline.erase(it);
     }
-  }
-  // Truncated snapshots revert to the empty state, whose hash is the map's
-  // implicit default (0).
-  for (auto it = snapshot_hashes_.begin(); it != snapshot_hashes_.end();) {
-    it = it->first > m ? snapshot_hashes_.erase(it) : std::next(it);
   }
   // Snapshot indexes of the erased suffix address erased relations; indexes
   // of surviving snapshots stay valid (row ids are positional and those

@@ -29,11 +29,11 @@ class Interpretation {
  public:
   explicit Interpretation(std::shared_ptr<Vocabulary> vocab);
 
-  // Copies carry the facts but not the lazily built column indexes (a copy
-  // rebuilds its own on demand). Moves keep them: row ids are positional and
-  // the relations they index move along.
-  Interpretation(const Interpretation& other);
-  Interpretation& operator=(const Interpretation& other);
+  // Copies and moves carry the lazily built column indexes along with the
+  // facts: row ids are positional, so an index stays valid for the copied
+  // (or moved) relation it was built over.
+  Interpretation(const Interpretation&) = default;
+  Interpretation& operator=(const Interpretation&) = default;
   Interpretation(Interpretation&&) = default;
   Interpretation& operator=(Interpretation&&) = default;
 
@@ -72,27 +72,17 @@ class Interpretation {
   /// Largest time point carrying any temporal fact; -1 when none.
   int64_t MaxTime() const;
 
-  /// O(1) content hash of the state `M[time]` (the snapshot with the
-  /// temporal argument projected out), maintained incrementally on every
-  /// insert: equals `State::FromInterpretation(*this, time).Hash()` without
-  /// materialising the state. Empty snapshots hash to 0. Equal hashes do not
-  /// prove equal states — verify collisions with SnapshotEquals.
+  /// Content hash of the state `M[time]` (the snapshot with the temporal
+  /// argument projected out), computed from the cells at `time`: equals
+  /// `State::FromInterpretation(*this, time).Hash()` without materialising
+  /// the state. Empty snapshots hash to 0. Equal hashes do not prove equal
+  /// states — verify collisions with SnapshotEquals.
   std::size_t SnapshotHash(int64_t time) const;
 
   /// Exact comparison of the states `M[t1]` and `M[t2]`, in place (no State
   /// materialisation) — the hash-collision verification step of the period
-  /// detectors. When snapshot hashing is enabled the walk is prefiltered by
-  /// SnapshotHash: a disagreement proves the states differ, so the exact
-  /// per-timeline comparison only runs when the hashes agree.
+  /// detectors, which call it only where the snapshot hashes agree.
   bool SnapshotEquals(int64_t t1, int64_t t2) const;
-
-  /// Turns off snapshot-hash maintenance for this instance. For scratch
-  /// interpretations (semi-naive deltas and derivation buffers) that
-  /// are only enumerated and merged, never queried through SnapshotHash:
-  /// skipping the per-insert hash update keeps the hot derivation path free
-  /// of the bookkeeping. Irreversible; copies inherit the setting;
-  /// SnapshotHash must not be called afterwards (asserts).
-  void DisableSnapshotHashing();
 
   /// Enumerates every stored fact. `fn` receives (pred, time, tuple); `time`
   /// is 0 for non-temporal predicates. The Tuple reference points at a
@@ -126,14 +116,11 @@ class Interpretation {
   /// Removes every fact (and every column index) but keeps the
   /// per-predicate slots and the non-temporal relations' capacity, so a
   /// reused scratch interpretation — the semi-naive round delta — refills
-  /// with fewer allocations. Keeps the snapshot-hashing setting.
+  /// with fewer allocations.
   void Clear();
 
-  /// Copy of this interpretation with every temporal fact at time > `m`
-  /// removed — the paper's `L'(0...m) ∪ L'_nt` truncation used by BT.
-  Interpretation Truncate(int64_t m) const;
-
-  /// Removes (in place) every temporal fact at time > `m`.
+  /// Removes (in place) every temporal fact at time > `m` — the paper's
+  /// `L'(0...m) ∪ L'_nt` truncation used by BT.
   void TruncateInPlace(int64_t m);
 
   /// True when both interpretations contain the same non-temporal facts.
@@ -153,12 +140,13 @@ class Interpretation {
   /// index for a (pred, [time,] col) combination is built lazily on first
   /// probe and maintained by subsequent inserts.
   ///
-  /// Invalidation contract: row ids are positional, so — unlike the tuple
-  /// pointers this API used to return — they survive further inserts and
-  /// moves of the interpretation. A returned bucket pointer stays valid
-  /// until the interpretation is copied over or truncated (both drop the
-  /// affected indexes); the bucket may grow while held. Debug builds assert
-  /// that every bucket's row ids lie inside the relation they index.
+  /// Invalidation contract: row ids are positional, so they survive further
+  /// inserts, moves and copies of the interpretation (a copy's indexes
+  /// address the copy's relations). A returned bucket pointer stays valid
+  /// until the interpretation is assigned over, cleared or truncated past
+  /// the probed cell (each replaces or drops the affected indexes); the
+  /// bucket may grow while held. Debug builds assert that every bucket's row
+  /// ids lie inside the relation they index.
   const std::vector<uint32_t>* ProbeNonTemporal(PredicateId pred, uint32_t col,
                                                 SymbolId value) const;
   const std::vector<uint32_t>* ProbeSnapshot(PredicateId pred, int64_t time,
@@ -177,13 +165,6 @@ class Interpretation {
   std::vector<Relation> non_temporal_;
   std::vector<std::map<int64_t, Relation>> temporal_;
   std::size_t size_ = 0;
-
-  // Per-timestep state hashes: snapshot_hashes_[t] ==
-  // State::FromInterpretation(*this, t).Hash(). The combine is a commutative
-  // sum of finalized per-fact hashes plus the fact count, so one insert is
-  // one O(1) `+=`, and an absent entry means the empty-state hash 0.
-  std::unordered_map<int64_t, std::size_t> snapshot_hashes_;
-  bool snapshot_hashing_ = true;
 
   // Lazily built column indexes (see ProbeNonTemporal / ProbeSnapshot).
   // The temporal index is keyed time-first so that an insert into snapshot

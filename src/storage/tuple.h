@@ -16,8 +16,8 @@ namespace chronolog {
 using Tuple = std::vector<SymbolId>;
 
 /// Finalized hash of one time-projected fact `(pred, args)` — the unit of the
-/// order-independent snapshot hash. `State::Hash()` and the incrementally
-/// maintained `Interpretation::SnapshotHash()` both sum these per-fact values
+/// order-independent snapshot hash. `State::Hash()` and the in-place
+/// `Interpretation::SnapshotHash()` both sum these per-fact values
 /// (plus the fact count), so the two must use the exact same definition. The
 /// span overload hashes `args[0..n)` identically, letting columnar storage
 /// feed gathered rows without building a Tuple.

@@ -73,23 +73,23 @@ TEST(AllocBudgetTest, CounterSeesAllocations) {
   EXPECT_GE(g_allocations.load() - before, 2u);
 }
 
-TEST(AllocBudgetTest, EvenRoundAllocatesAtMostFour) {
+TEST(AllocBudgetTest, EvenRoundAllocatesAtMostThree) {
   const double per_round =
       AllocationsPerRound(workload::EvenSource(), "even(20000)", 20000);
-  EXPECT_LE(per_round, 4.0);
+  EXPECT_LE(per_round, 3.0);
 }
 
-TEST(AllocBudgetTest, SkewedJoinRoundAllocatesAtMostEight) {
+TEST(AllocBudgetTest, SkewedJoinRoundAllocatesAtMostSix) {
   const double per_round =
       AllocationsPerRound(workload::SkewedJoinSource(64), "hit(10000, a)",
                           10000);
-  EXPECT_LE(per_round, 8.0);
+  EXPECT_LE(per_round, 6.0);
 }
 
-TEST(AllocBudgetTest, SkiScheduleRoundAllocatesAtMostFortyEight) {
+TEST(AllocBudgetTest, SkiScheduleRoundAllocatesAtMostTwentyEight) {
   const double per_round = AllocationsPerRound(
       workload::SkiScheduleSource(2, 28, 8, 2), "resort(resort0)", 10000);
-  EXPECT_LE(per_round, 48.0);
+  EXPECT_LE(per_round, 28.0);
 }
 
 }  // namespace

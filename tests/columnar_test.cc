@@ -300,7 +300,6 @@ TEST(ColumnarInterpretationTest, ForEachRowMatchesForEachAndClearEmpties) {
   const SymbolId a = vocab->InternConstant("a");
   const SymbolId b = vocab->InternConstant("b");
   Interpretation interp(vocab);
-  interp.DisableSnapshotHashing();
   interp.Insert(*p, 5, {a});
   interp.Insert(*e, 0, {b});
   interp.Insert(*p, 3, {b});

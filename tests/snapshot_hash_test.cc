@@ -1,10 +1,10 @@
-// The incrementally maintained snapshot hashes (Interpretation::SnapshotHash)
-// must equal the from-scratch state hashes State::FromInterpretation(m, t)
-// .Hash() after every way a model can be produced or mutated: one-shot
-// fixpoints, resumed extension chains (including the backward-rule
-// history-rewrite path reported through EvalStats::min_new_time),
-// truncation, and copies. The combine is order-independent by
-// construction; that too is pinned down here.
+// The in-place snapshot hashes (Interpretation::SnapshotHash, computed from
+// the cells at one time) must equal the state hashes
+// State::FromInterpretation(m, t).Hash() after every way a model can be
+// produced or mutated: one-shot fixpoints, resumed extension chains
+// (including the backward-rule history-rewrite path reported through
+// EvalStats::min_new_time), truncation, and copies. The combine is
+// order-independent by construction; that too is pinned down here.
 
 #include <gtest/gtest.h>
 
