@@ -518,6 +518,15 @@ cmake --build "$SAN_BUILD_DIR" -j "$JOBS"
 ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -j "$JOBS"
 
+# ASan+UBSan storage fuzz: the differential Interpretation fuzz repeated
+# with a fresh gtest random seed per iteration (--gtest_shuffle draws it;
+# a failure prints the seed to pass back as --gtest_random_seed).
+echo "== sanitizer storage fuzz (x20, shuffled seeds) =="
+ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
+  "$SAN_BUILD_DIR/tests/storage_fuzz_test" --gtest_brief=1 \
+  --gtest_repeat=20 --gtest_shuffle
+echo "sanitizer storage fuzz: ok"
+
 # ASan+UBSan stress: the concurrency suites (statement store, query
 # endpoints, HTTP server, metrics) repeated many times, one binary per core
 # at once. Readers racing writers is a logic race TSan cannot see when every

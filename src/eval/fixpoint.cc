@@ -89,11 +89,12 @@ Status RunSemiNaiveRounds(const Program& program,
   }
 
   // Derivations are buffered into `next_delta` and merged into `full`
-  // after the round: inserting into `full` mid-evaluation would invalidate
-  // the tuple-set iterators the rule evaluator is walking. The two buffers
-  // and the derive sink live for the whole fixpoint: each round swaps the
-  // buffers and clears the new `next_delta`, so a round allocates only for
-  // the facts it stores.
+  // after the round: a round must read the model as it was when the round
+  // began (semi-naive evaluation), and the evaluator walks `full`'s cells
+  // while it derives. The two buffers and the derive sink live for the whole
+  // fixpoint: each round swaps the buffers and clears the new `next_delta`,
+  // whose timelines keep their blocks and cells, so a round allocates only
+  // for the facts `full` stores.
   Interpretation next_delta(program.vocab_ptr());
   bool overflow = false;
   const std::function<void(GroundAtom&&)> derive_sink =
@@ -327,14 +328,10 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
   // re-listing them in the delta re-fires the rules they can feed.
   for (PredicateId pred : vocab.AllPredicates()) {
     if (!vocab.predicate(pred).is_temporal) continue;
-    const auto& timeline = full.Timeline(pred);
-    for (auto it = timeline.lower_bound(prior_max_time - g + 1);
-         it != timeline.end(); ++it) {
-      const Relation& cell = it->second;
-      Tuple scratch;
+    for (const auto& [time, cell] :
+         full.Timeline(pred).From(prior_max_time - g + 1)) {
       for (uint32_t row = 0; row < cell.size(); ++row) {
-        cell.CopyRow(row, &scratch);
-        delta.Insert(pred, it->first, scratch);
+        delta.Insert(pred, time, cell.row_data(row), cell.arity());
       }
     }
   }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <limits>
 #include <vector>
 
 #include "util/metrics.h"
@@ -128,8 +128,8 @@ struct RuleEvaluator::Scratch {
     const Relation* rel = nullptr;                  // current cell, null = done
     const std::vector<uint32_t>* bucket = nullptr;  // probe rows, or null
     std::size_t idx = 0;                            // cursor into bucket/rel
-    const std::map<int64_t, Relation>* timeline = nullptr;
-    std::map<int64_t, Relation>::const_iterator tl_it;
+    const BlockTimeline* timeline = nullptr;  // walked timeline, or null
+    int64_t tl_next = 0;                       // next time to look at
     VarId tvar = kNoVar;  // temporal var this frame binds per cell
     std::size_t trail_mark = 0;
   };
@@ -197,7 +197,7 @@ std::unique_ptr<RuleEvaluator::JoinPlan> RuleEvaluator::BuildPlan(
         rows = static_cast<double>(rel.size());
         stats_rel = &rel;
       } else {
-        const auto& timeline = source.Timeline(atom.pred);
+        const BlockTimeline& timeline = source.Timeline(atom.pred);
         double total = 0;
         for (const auto& [time, cell] : timeline) {
           total += static_cast<double>(cell.size());
@@ -446,11 +446,8 @@ void RuleEvaluator::EvaluateImpl(
     // known, falling back to the first bound column, else scanning (always
     // for cells of at most Relation::kInlineRows rows). Leaves
     // `f->rel` null when the probe proves there are no candidates.
-    auto setup_cell = [&](Frame* f, const Interpretation& source,
-                          const Atom& atom, bool temporal, int64_t time,
+    auto setup_cell = [&](Frame* f, const Relation& rel, const Atom& atom,
                           int planned_col) {
-      const Relation& rel = temporal ? source.Snapshot(atom.pred, time)
-                                     : source.NonTemporal(atom.pred);
       if (rel.empty()) return;
       // A cell of at most kInlineRows rows is scanned: MatchRow checks every
       // bound column, and the scan builds no column index for the cell.
@@ -480,11 +477,7 @@ void RuleEvaluator::EvaluateImpl(
         }
         if (col >= 0) {
           const std::vector<uint32_t>* bucket =
-              temporal ? source.ProbeSnapshot(atom.pred, time,
-                                              static_cast<uint32_t>(col),
-                                              value)
-                       : source.ProbeNonTemporal(
-                             atom.pred, static_cast<uint32_t>(col), value);
+              rel.Probe(static_cast<uint32_t>(col), value);
           if (bucket != nullptr) {
             f->rel = &rel;
             f->bucket = bucket;
@@ -510,12 +503,13 @@ void RuleEvaluator::EvaluateImpl(
       const Atom& atom = *si.atom;
       const Interpretation& source = si.is_delta ? *delta : full;
       if (!atom.temporal()) {
-        setup_cell(&f, source, atom, false, 0, si.probe_col);
+        setup_cell(&f, source.NonTemporal(atom.pred), atom, si.probe_col);
         return;
       }
       const TemporalTerm& tt = *atom.time;
       if (tt.ground()) {
-        setup_cell(&f, source, atom, true, tt.offset, si.probe_col);
+        setup_cell(&f, source.Snapshot(atom.pred, tt.offset), atom,
+                   si.probe_col);
         return;
       }
       if (bindings.bound[tt.var]) {
@@ -523,22 +517,24 @@ void RuleEvaluator::EvaluateImpl(
         int64_t time = 0;
         if (!__builtin_add_overflow(bindings.tval[tt.var], tt.offset,
                                     &time)) {
-          setup_cell(&f, source, atom, true, time, si.probe_col);
+          setup_cell(&f, source.Snapshot(atom.pred, time), atom,
+                     si.probe_col);
         }
         return;
       }
-      // Unbound temporal variable: walk the timeline; each usable cell
-      // binds it to `time - offset` (managed by the frame, outside the
-      // trail, and cleared when the frame pops).
+      // Unbound temporal variable: walk the timeline; each cell binds it to
+      // `time - offset` (managed by the frame, outside the trail, and
+      // cleared when the frame pops). The variable's value must be a valid
+      // (>= 0) ground term, so the walk starts at `time = offset`.
       f.timeline = &source.Timeline(atom.pred);
-      f.tl_it = f.timeline->begin();
+      f.tl_next = std::max<int64_t>(0, tt.offset);
       f.tvar = tt.var;
     };
 
     // Yields the next candidate (row of *rel) of frame `f`, advancing
-    // through timeline cells as the current one drains. The temporal
-    // variable's value must be a valid (>= 0) ground term, so cells with
-    // `time < offset` are skipped.
+    // through timeline cells as the current one drains. The walk keeps the
+    // next time to look at, not an iterator, so it needs nothing from the
+    // timeline's directory to stay put between cells.
     auto next_candidate = [&](Frame* f, const StepInfo& si, uint32_t* row,
                               const Relation** rel) {
       while (true) {
@@ -558,23 +554,19 @@ void RuleEvaluator::EvaluateImpl(
           f->bucket = nullptr;
         }
         if (f->timeline == nullptr) return false;
-        const Atom& atom = *si.atom;
-        const Interpretation& source = si.is_delta ? *delta : full;
-        const int64_t offset = atom.time->offset;
-        bool cell_found = false;
-        while (f->tl_it != f->timeline->end()) {
-          const int64_t time = f->tl_it->first;
-          const bool cell_empty = f->tl_it->second.empty();
-          ++f->tl_it;
-          const int64_t value = time - offset;
-          if (value < 0 || cell_empty) continue;
-          bindings.bound[f->tvar] = 1;
-          bindings.tval[f->tvar] = value;
-          setup_cell(f, source, atom, true, time, si.probe_col);
-          cell_found = true;
-          break;
+        int64_t time = f->tl_next;
+        const Relation* cell = f->timeline->NextCell(&time);
+        if (cell == nullptr) return false;
+        // A cell at the largest time is the walk's last; `time + 1` would
+        // overflow.
+        if (time == std::numeric_limits<int64_t>::max()) {
+          f->timeline = nullptr;
+        } else {
+          f->tl_next = time + 1;
         }
-        if (!cell_found) return false;
+        bindings.bound[f->tvar] = 1;
+        bindings.tval[f->tvar] = time - si.atom->time->offset;
+        setup_cell(f, *cell, *si.atom, si.probe_col);
         // Loop: the fresh cell's probe may have yielded no bucket, in
         // which case the next iteration advances to the following cell.
       }

@@ -1,12 +1,13 @@
 #include "storage/interpretation.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace chronolog {
 
 namespace {
 const Relation kEmptyRelation;
-const std::map<int64_t, Relation> kEmptyTimeline;
+const BlockTimeline kEmptyTimeline;
 }  // namespace
 
 Interpretation::Interpretation(std::shared_ptr<Vocabulary> vocab)
@@ -25,24 +26,6 @@ void Interpretation::EnsurePred(PredicateId pred) {
   }
 }
 
-void Interpretation::IndexInsertedRow(PredicateId pred, bool temporal,
-                                      int64_t time, const Relation& rel,
-                                      uint32_t row) {
-  if (temporal) {
-    if (pred >= t_index_.size() || t_index_[pred].empty()) return;
-    auto snapshot = t_index_[pred].find(time);
-    if (snapshot == t_index_[pred].end()) return;
-    for (auto& [col, index] : snapshot->second) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
-  } else {
-    if (pred >= nt_index_.size() || nt_index_[pred].empty()) return;
-    for (auto& [col, index] : nt_index_[pred]) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
-  }
-}
-
 bool Interpretation::Insert(const GroundAtom& fact) {
   return Insert(fact.pred, fact.time, fact.args.data(), fact.args.size());
 }
@@ -54,30 +37,21 @@ bool Interpretation::Insert(PredicateId pred, int64_t time, const Tuple& args) {
 bool Interpretation::Insert(PredicateId pred, int64_t time,
                             const SymbolId* args, std::size_t n) {
   EnsurePred(pred);
-  const bool temporal = vocab_->predicate(pred).is_temporal;
-  Relation* rel;
-  if (temporal) {
-    assert(time >= 0);
-    rel = &temporal_[pred][time];
-  } else {
-    rel = &non_temporal_[pred];
-  }
-  if (!rel->Insert(args, n)) return false;
-  ++size_;
-  IndexInsertedRow(pred, temporal, time, *rel,
-                   static_cast<uint32_t>(rel->size() - 1));
-  return true;
+  const bool inserted = vocab_->predicate(pred).is_temporal
+                            ? temporal_[pred].Insert(time, args, n)
+                            : non_temporal_[pred].Insert(args, n);
+  if (inserted) ++size_;
+  return inserted;
 }
 
 std::size_t Interpretation::SnapshotHash(int64_t time) const {
   std::size_t hash = 0;
   for (std::size_t p = 0; p < temporal_.size(); ++p) {
-    auto cell = temporal_[p].find(time);
-    if (cell == temporal_[p].end()) continue;
-    const Relation& rel = cell->second;
-    for (uint32_t row = 0; row < rel.size(); ++row) {
+    const Relation* rel = temporal_[p].Find(time);
+    if (rel == nullptr) continue;
+    for (uint32_t row = 0; row < rel->size(); ++row) {
       // `+ 1` carries the fact-count term of State::Hash.
-      hash += FactHash(p, rel.row_data(row), rel.arity()) + 1;
+      hash += FactHash(p, rel->row_data(row), rel->arity()) + 1;
     }
   }
   return hash;
@@ -85,64 +59,15 @@ std::size_t Interpretation::SnapshotHash(int64_t time) const {
 
 bool Interpretation::SnapshotEquals(int64_t t1, int64_t t2) const {
   if (t1 == t2) return true;
-  for (const auto& timeline : temporal_) {
-    auto i1 = timeline.find(t1);
-    auto i2 = timeline.find(t2);
-    const Relation& a = i1 == timeline.end() ? kEmptyRelation : i1->second;
-    const Relation& b = i2 == timeline.end() ? kEmptyRelation : i2->second;
-    if (a != b) return false;
+  for (const BlockTimeline& timeline : temporal_) {
+    const Relation* a = timeline.Find(t1);
+    const Relation* b = timeline.Find(t2);
+    if (*(a == nullptr ? &kEmptyRelation : a) !=
+        *(b == nullptr ? &kEmptyRelation : b)) {
+      return false;
+    }
   }
   return true;
-}
-
-const std::vector<uint32_t>* Interpretation::FindBucket(
-    const ColumnBuckets& index, const Relation& rel, SymbolId value) {
-  auto bucket = index.buckets.find(value);
-  if (bucket == index.buckets.end()) return nullptr;
-#ifndef NDEBUG
-  // Invalidation-contract check: every indexed row id must address a live
-  // row of the relation the bucket was built over.
-  for (uint32_t row : bucket->second) assert(row < rel.size());
-#else
-  (void)rel;
-#endif
-  return &bucket->second;
-}
-
-const std::vector<uint32_t>* Interpretation::ProbeNonTemporal(
-    PredicateId pred, uint32_t col, SymbolId value) const {
-  assert(!vocab_->predicate(pred).is_temporal);
-  if (pred >= non_temporal_.size()) return nullptr;
-  const Relation& rel = non_temporal_[pred];
-  if (nt_index_.size() < non_temporal_.size()) {
-    nt_index_.resize(non_temporal_.size());
-  }
-  auto [it, fresh] = nt_index_[pred].try_emplace(col);
-  ColumnBuckets& index = it->second;
-  if (fresh) {
-    for (uint32_t row = 0; row < rel.size(); ++row) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
-  }
-  return FindBucket(index, rel, value);
-}
-
-const std::vector<uint32_t>* Interpretation::ProbeSnapshot(
-    PredicateId pred, int64_t time, uint32_t col, SymbolId value) const {
-  assert(vocab_->predicate(pred).is_temporal);
-  if (pred >= temporal_.size()) return nullptr;
-  auto cell = temporal_[pred].find(time);
-  if (cell == temporal_[pred].end()) return nullptr;
-  const Relation& rel = cell->second;
-  if (t_index_.size() < temporal_.size()) t_index_.resize(temporal_.size());
-  auto [it, fresh] = t_index_[pred][time].try_emplace(col);
-  ColumnBuckets& index = it->second;
-  if (fresh) {
-    for (uint32_t row = 0; row < rel.size(); ++row) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
-  }
-  return FindBucket(index, rel, value);
 }
 
 void Interpretation::InsertDatabase(const Database& db) {
@@ -157,9 +82,8 @@ bool Interpretation::Contains(PredicateId pred, int64_t time,
                               const Tuple& args) const {
   if (vocab_->predicate(pred).is_temporal) {
     if (pred >= temporal_.size()) return false;
-    auto it = temporal_[pred].find(time);
-    if (it == temporal_[pred].end()) return false;
-    return it->second.Contains(args.data(), args.size());
+    const Relation* cell = temporal_[pred].Find(time);
+    return cell != nullptr && cell->Contains(args.data(), args.size());
   }
   if (pred >= non_temporal_.size()) return false;
   return non_temporal_[pred].Contains(args.data(), args.size());
@@ -175,13 +99,11 @@ const Relation& Interpretation::Snapshot(PredicateId pred,
                                          int64_t time) const {
   assert(vocab_->predicate(pred).is_temporal);
   if (pred >= temporal_.size()) return kEmptyRelation;
-  auto it = temporal_[pred].find(time);
-  if (it == temporal_[pred].end()) return kEmptyRelation;
-  return it->second;
+  const Relation* cell = temporal_[pred].Find(time);
+  return cell == nullptr ? kEmptyRelation : *cell;
 }
 
-const std::map<int64_t, Relation>& Interpretation::Timeline(
-    PredicateId pred) const {
+const BlockTimeline& Interpretation::Timeline(PredicateId pred) const {
   assert(vocab_->predicate(pred).is_temporal);
   if (pred >= temporal_.size()) return kEmptyTimeline;
   return temporal_[pred];
@@ -189,11 +111,8 @@ const std::map<int64_t, Relation>& Interpretation::Timeline(
 
 int64_t Interpretation::MaxTime() const {
   int64_t max_time = -1;
-  for (std::size_t p = 0; p < temporal_.size(); ++p) {
-    const auto& timeline = temporal_[p];
-    if (!timeline.empty()) {
-      max_time = std::max(max_time, timeline.rbegin()->first);
-    }
+  for (const BlockTimeline& timeline : temporal_) {
+    max_time = std::max(max_time, timeline.MaxTime());
   }
   return max_time;
 }
@@ -210,25 +129,13 @@ void Interpretation::ForEach(
 
 void Interpretation::Clear() {
   for (Relation& rel : non_temporal_) rel.Clear();
-  for (auto& timeline : temporal_) timeline.clear();
+  for (BlockTimeline& timeline : temporal_) timeline.Clear();
   size_ = 0;
-  nt_index_.clear();
-  t_index_.clear();
 }
 
 void Interpretation::TruncateInPlace(int64_t m) {
-  for (auto& timeline : temporal_) {
-    auto it = timeline.upper_bound(m);
-    while (it != timeline.end()) {
-      size_ -= it->second.size();
-      it = timeline.erase(it);
-    }
-  }
-  // Snapshot indexes of the erased suffix address erased relations; indexes
-  // of surviving snapshots stay valid (row ids are positional and those
-  // relations are untouched).
-  for (auto& per_pred : t_index_) {
-    per_pred.erase(per_pred.upper_bound(m), per_pred.end());
+  for (BlockTimeline& timeline : temporal_) {
+    size_ -= timeline.TruncateInPlace(m);
   }
 }
 
@@ -250,22 +157,23 @@ bool Interpretation::SegmentEquals(const Interpretation& other, int64_t m,
   if (and_non_temporal && !NonTemporalEquals(other)) return false;
   std::size_t n = std::max(temporal_.size(), other.temporal_.size());
   for (std::size_t p = 0; p < n; ++p) {
-    const auto& ta = p < temporal_.size() ? temporal_[p] : kEmptyTimeline;
-    const auto& tb =
+    const BlockTimeline& ta =
+        p < temporal_.size() ? temporal_[p] : kEmptyTimeline;
+    const BlockTimeline& tb =
         p < other.temporal_.size() ? other.temporal_[p] : kEmptyTimeline;
+    // Lockstep walk over the populated cells of [0, m].
     auto ia = ta.begin();
     auto ib = tb.begin();
     while (true) {
-      // Skip empty cells (can arise from operator[] on the timeline).
-      while (ia != ta.end() && (ia->first > m || ia->second.empty())) ++ia;
-      while (ib != tb.end() && (ib->first > m || ib->second.empty())) ++ib;
-      bool ea = (ia == ta.end() || ia->first > m);
-      bool eb = (ib == tb.end() || ib->first > m);
+      const bool ea = ia == ta.end() || (*ia).first > m;
+      const bool eb = ib == tb.end() || (*ib).first > m;
       if (ea || eb) {
         if (ea != eb) return false;
         break;
       }
-      if (ia->first != ib->first || ia->second != ib->second) return false;
+      if ((*ia).first != (*ib).first || (*ia).second != (*ib).second) {
+        return false;
+      }
       ++ia;
       ++ib;
     }

@@ -3,23 +3,22 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/atom.h"
 #include "ast/program.h"
 #include "ast/vocabulary.h"
 #include "storage/relation.h"
+#include "storage/timeline.h"
 #include "storage/tuple.h"
 
 namespace chronolog {
 
 /// A finite fragment of a Herbrand interpretation of a TDD: for every
-/// temporal predicate a snapshot index `time -> relation`, for every
-/// non-temporal predicate a columnar relation (the paper's `M_nt`).
+/// temporal predicate a block timeline `time -> relation` (see
+/// BlockTimeline), for every non-temporal predicate a columnar relation (the
+/// paper's `M_nt`).
 ///
 /// Interpretations are the working store of every evaluator in chronolog:
 /// `T_{Z∧D}` maps interpretations to interpretations, algorithm BT iterates
@@ -30,8 +29,8 @@ class Interpretation {
   explicit Interpretation(std::shared_ptr<Vocabulary> vocab);
 
   // Copies and moves carry the lazily built column indexes along with the
-  // facts: row ids are positional, so an index stays valid for the copied
-  // (or moved) relation it was built over.
+  // facts: each index lives in the relation it indexes, and row ids are
+  // positional, so a copied index addresses the copy's own rows.
   Interpretation(const Interpretation&) = default;
   Interpretation& operator=(const Interpretation&) = default;
   Interpretation(Interpretation&&) = default;
@@ -63,11 +62,24 @@ class Interpretation {
   const Relation& NonTemporal(PredicateId pred) const;
 
   /// Tuples of a temporal predicate at `time` — one cell of the paper's
-  /// snapshot `M(t)`. Returns an empty relation when nothing is stored there.
+  /// snapshot `M(t)`. Returns a shared, always-empty relation when nothing
+  /// is stored there; that reference does not see facts inserted later.
+  ///
+  /// Invalidation contract: cells are address-stable. A cell, and the column
+  /// indexes inside it (Relation::Probe, the evaluator's hash joins), never
+  /// move while facts are inserted at any time, its own included, and a
+  /// move of the interpretation carries them along; a copy carries copies
+  /// whose indexes address the copy's rows. A returned non-empty cell
+  /// reference (and a Probe bucket of it) stays valid until the
+  /// interpretation is assigned over or destroyed, cleared, or truncated
+  /// below the cell's time; the bucket may grow while held. The same holds
+  /// for `NonTemporal` relations, which only Clear and assignment
+  /// invalidate.
   const Relation& Snapshot(PredicateId pred, int64_t time) const;
 
-  /// All populated time points of a temporal predicate, ascending.
-  const std::map<int64_t, Relation>& Timeline(PredicateId pred) const;
+  /// The timeline of a temporal predicate. Iterating it yields the
+  /// populated time points and their cells, ascending; `size()` counts them.
+  const BlockTimeline& Timeline(PredicateId pred) const;
 
   /// Largest time point carrying any temporal fact; -1 when none.
   int64_t MaxTime() const;
@@ -114,9 +126,10 @@ class Interpretation {
   }
 
   /// Removes every fact (and every column index) but keeps the
-  /// per-predicate slots and the non-temporal relations' capacity, so a
-  /// reused scratch interpretation — the semi-naive round delta — refills
-  /// with fewer allocations.
+  /// per-predicate slots, the relations' row capacity and the timelines'
+  /// blocks, so a reused scratch interpretation — the semi-naive round delta
+  /// — refills without allocating. Costs time in the number of populated
+  /// cells, not in the span of times they cover.
   void Clear();
 
   /// Removes (in place) every temporal fact at time > `m` — the paper's
@@ -134,53 +147,15 @@ class Interpretation {
 
   friend bool operator==(const Interpretation& a, const Interpretation& b);
 
-  /// Column-index probes for hash joins. Returns the row ids (into the
-  /// relation `NonTemporal(pred)` / `Snapshot(pred, time)`) of the tuples
-  /// whose column `col` equals `value`, or nullptr when there are none. The
-  /// index for a (pred, [time,] col) combination is built lazily on first
-  /// probe and maintained by subsequent inserts.
-  ///
-  /// Invalidation contract: row ids are positional, so they survive further
-  /// inserts, moves and copies of the interpretation (a copy's indexes
-  /// address the copy's relations). A returned bucket pointer stays valid
-  /// until the interpretation is assigned over, cleared or truncated past
-  /// the probed cell (each replaces or drops the affected indexes); the
-  /// bucket may grow while held. Debug builds assert that every bucket's row
-  /// ids lie inside the relation they index.
-  const std::vector<uint32_t>* ProbeNonTemporal(PredicateId pred, uint32_t col,
-                                                SymbolId value) const;
-  const std::vector<uint32_t>* ProbeSnapshot(PredicateId pred, int64_t time,
-                                             uint32_t col,
-                                             SymbolId value) const;
-
  private:
-  /// value -> row-id bucket map of one indexed column.
-  struct ColumnBuckets {
-    std::unordered_map<SymbolId, std::vector<uint32_t>> buckets;
-  };
-
   std::shared_ptr<Vocabulary> vocab_;
   // Indexed by PredicateId. Exactly one of the two slots is meaningful per
   // predicate; both are default-constructed for uniformity.
   std::vector<Relation> non_temporal_;
-  std::vector<std::map<int64_t, Relation>> temporal_;
+  std::vector<BlockTimeline> temporal_;
   std::size_t size_ = 0;
 
-  // Lazily built column indexes (see ProbeNonTemporal / ProbeSnapshot).
-  // The temporal index is keyed time-first so that an insert into snapshot
-  // `t` only touches the column indexes of `t` (a map lookup), never the
-  // entries of other snapshots, and so truncation can drop exactly the
-  // indexes of the truncated suffix.
-  mutable std::vector<std::map<uint32_t, ColumnBuckets>> nt_index_;
-  mutable std::vector<std::map<int64_t, std::map<uint32_t, ColumnBuckets>>>
-      t_index_;
-
   void EnsurePred(PredicateId pred);
-  void IndexInsertedRow(PredicateId pred, bool temporal, int64_t time,
-                        const Relation& rel, uint32_t row);
-  static const std::vector<uint32_t>* FindBucket(const ColumnBuckets& index,
-                                                 const Relation& rel,
-                                                 SymbolId value);
 };
 
 }  // namespace chronolog

@@ -152,12 +152,13 @@ std::string RandomProgramSource(const RandomProgramOptions& options,
     return std::uniform_int_distribution<int>(lo, hi)(*rng);
   };
 
-  // Vocabulary: temporal preds tp0..(arity 1), non-temporal preds np0..
-  // (arity 2), constants c0...
+  // Vocabulary: temporal preds tp0.. (1 or 2 non-temporal arguments),
+  // non-temporal preds np0.. (arity 2), constants c0...
+  const bool wide = options.temporal_columns == 2;
   std::string out;
   // Declarations pin sorts even when inference would be ambiguous.
   for (int i = 0; i < options.num_temporal_preds; ++i) {
-    out += "@temporal tp" + N(i) + "/2.\n";
+    out += "@temporal tp" + N(i) + "/" + (wide ? "3" : "2") + ".\n";
   }
 
   for (int r = 0; r < options.num_rules; ++r) {
@@ -167,6 +168,7 @@ std::string RandomProgramSource(const RandomProgramOptions& options,
     int body_atoms = rand_int(1, options.max_body_atoms);
     std::string body;
     bool head_var_bound = false;
+    bool y_bound = false;  // read only for wide heads, which also use Y
     bool time_var_bound = false;
     for (int a = 0; a < body_atoms; ++a) {
       if (!body.empty()) body += ", ";
@@ -180,6 +182,13 @@ std::string RandomProgramSource(const RandomProgramOptions& options,
         bool use_x = coin(*rng) == 0 || a + 1 == body_atoms;
         std::string entity = use_x ? "X" : "Y";
         if (use_x) head_var_bound = true;
+        if (!use_x) y_bound = true;
+        if (wide) {
+          const bool second_x = coin(*rng) == 0;
+          entity += second_x ? ", X" : ", Y";
+          if (second_x) head_var_bound = true;
+          if (!second_x) y_bound = true;
+        }
         time_var_bound = true;
         body += "tp" + N(pred) + "(T" +
                 (offset > 0 ? "+" + N(offset) : "") + ", " + entity + ")";
@@ -187,20 +196,23 @@ std::string RandomProgramSource(const RandomProgramOptions& options,
         int pred = rand_int(0, options.num_nontemporal_preds - 1);
         body += "np" + N(pred) + "(X, Y)";
         head_var_bound = true;
+        y_bound = true;
       }
     }
-    if (!head_var_bound) body += ", np0(X, Y)";
-    if (!time_var_bound) body += ", tp0(T, X)";
+    if (!head_var_bound || (wide && !y_bound)) body += ", np0(X, Y)";
+    if (!time_var_bound) body += wide ? ", tp0(T, X, Y)" : ", tp0(T, X)";
     out += "tp" + N(head_pred) + "(T" +
-           (head_offset > 0 ? "+" + N(head_offset) : "") + ", X) :- " + body +
-           ".\n";
+           (head_offset > 0 ? "+" + N(head_offset) : "") +
+           (wide ? ", X, Y) :- " : ", X) :- ") + body + ".\n";
   }
 
   for (int f = 0; f < options.num_facts; ++f) {
     if (coin(*rng) == 0) {
       out += "tp" + N(rand_int(0, options.num_temporal_preds - 1)) + "(" +
              N(rand_int(0, options.max_fact_time)) + ", c" +
-             N(rand_int(0, options.num_constants - 1)) + ").\n";
+             N(rand_int(0, options.num_constants - 1));
+      if (wide) out += ", c" + N(rand_int(0, options.num_constants - 1));
+      out += ").\n";
     } else {
       out += "np" + N(rand_int(0, options.num_nontemporal_preds - 1)) + "(c" +
              N(rand_int(0, options.num_constants - 1)) + ", c" +

@@ -101,6 +101,10 @@ struct RandomProgramOptions {
   int max_fact_time = 3;
   /// When true, rule bodies never look past their head (progressive).
   bool progressive_only = true;
+  /// Non-temporal arguments of each temporal predicate: 1 (`tp(T, X)`) or 2
+  /// (`tp(T, X, Y)`, with either variable in either column, so joins bind
+  /// second columns too).
+  int temporal_columns = 1;
 };
 
 /// A random range-restricted temporal program plus database. With

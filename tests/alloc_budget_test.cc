@@ -73,23 +73,29 @@ TEST(AllocBudgetTest, CounterSeesAllocations) {
   EXPECT_GE(g_allocations.load() - before, 2u);
 }
 
-TEST(AllocBudgetTest, EvenRoundAllocatesAtMostThree) {
+// The gates sit just above the measured counts (0.05 / 1.07 / 2.56). Block
+// timelines make a round allocate only for the facts the model stores: per
+// 256 time points a block's map node, four growths of its cell-pointer list
+// and a chunk of cells, plus one row vector per new cell of a predicate
+// with arguments (`even` has none; `hit` gains one cell a round). The round
+// delta reuses its blocks and cells, so it allocates nothing.
+TEST(AllocBudgetTest, EvenRoundAllocatesNothingAmortised) {
   const double per_round =
       AllocationsPerRound(workload::EvenSource(), "even(20000)", 20000);
-  EXPECT_LE(per_round, 3.0);
+  EXPECT_LE(per_round, 0.1);
 }
 
-TEST(AllocBudgetTest, SkewedJoinRoundAllocatesAtMostSix) {
+TEST(AllocBudgetTest, SkewedJoinRoundAllocatesAboutOnce) {
   const double per_round =
       AllocationsPerRound(workload::SkewedJoinSource(64), "hit(10000, a)",
                           10000);
-  EXPECT_LE(per_round, 6.0);
+  EXPECT_LE(per_round, 1.2);
 }
 
-TEST(AllocBudgetTest, SkiScheduleRoundAllocatesAtMostTwentyEight) {
+TEST(AllocBudgetTest, SkiScheduleRoundAllocatesAtMostThree) {
   const double per_round = AllocationsPerRound(
       workload::SkiScheduleSource(2, 28, 8, 2), "resort(resort0)", 10000);
-  EXPECT_LE(per_round, 28.0);
+  EXPECT_LE(per_round, 3.0);
 }
 
 }  // namespace

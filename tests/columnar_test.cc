@@ -197,13 +197,13 @@ TEST(ColumnarRelationTest, PropertyAcrossInlineToHashedBoundary) {
       // after it overflows into the table; both are maintained by inserts.
       if (!probed_early && rows.size() == 5) {
         for (uint32_t col = 0; col < arity; ++col) {
-          interp.ProbeSnapshot(*p, kTime, col, 0);
+          interp.Snapshot(*p, kTime).Probe(col, 0);
         }
         probed_early = true;
       }
       if (!probed_late && rows.size() == Relation::kInlineRows + 1) {
         for (uint32_t col = 0; col < arity; ++col) {
-          interp.ProbeSnapshot(*p, kTime, col, 0);
+          interp.Snapshot(*p, kTime).Probe(col, 0);
         }
         probed_late = true;
       }
@@ -211,7 +211,7 @@ TEST(ColumnarRelationTest, PropertyAcrossInlineToHashedBoundary) {
         for (uint32_t col = 0; col < arity; ++col) {
           for (SymbolId v = 0; v <= max_value; ++v) {
             const std::vector<uint32_t>* bucket =
-                interp.ProbeSnapshot(*p, kTime, col, v);
+                interp.Snapshot(*p, kTime).Probe(col, v);
             const std::vector<uint32_t> expected = RowsWithValue(rows, col, v);
             if (expected.empty()) {
               EXPECT_EQ(bucket, nullptr);
@@ -252,7 +252,7 @@ TEST(ColumnarInterpretationTest, ProbeBucketsHoldRowIds) {
   interp.Insert(*e, 0, {a, b});
   interp.Insert(*e, 0, {a, c});
   interp.Insert(*e, 0, {b, c});
-  const std::vector<uint32_t>* bucket = interp.ProbeNonTemporal(*e, 0, a);
+  const std::vector<uint32_t>* bucket = interp.NonTemporal(*e).Probe(0, a);
   ASSERT_NE(bucket, nullptr);
   ASSERT_EQ(bucket->size(), 2u);
   const Relation& rel = interp.NonTemporal(*e);
@@ -262,7 +262,7 @@ TEST(ColumnarInterpretationTest, ProbeBucketsHoldRowIds) {
   }
   // Row ids survive further inserts (positional, append-only).
   interp.Insert(*e, 0, {a, a});
-  EXPECT_EQ(interp.ProbeNonTemporal(*e, 0, a)->size(), 3u);
+  EXPECT_EQ(interp.NonTemporal(*e).Probe(0, a)->size(), 3u);
   EXPECT_EQ(rel.at((*bucket)[0], 0), a);
 }
 
@@ -316,20 +316,75 @@ TEST(ColumnarInterpretationTest, ForEachRowMatchesForEachAndClearEmpties) {
   EXPECT_EQ(by_row, by_tuple);  // same facts, same order
   ASSERT_EQ(by_row.size(), 4u);
 
-  ASSERT_NE(interp.ProbeSnapshot(*p, 3, 0, a), nullptr);
+  ASSERT_NE(interp.Snapshot(*p, 3).Probe(0, a), nullptr);
   interp.Clear();
   EXPECT_TRUE(interp.empty());
   EXPECT_FALSE(interp.Contains(*p, 3, {a}));
   EXPECT_TRUE(interp.Timeline(*p).empty());
   EXPECT_TRUE(interp.NonTemporal(*e).empty());
-  EXPECT_EQ(interp.ProbeSnapshot(*p, 3, 0, a), nullptr);
+  EXPECT_EQ(interp.Snapshot(*p, 3).Probe(0, a), nullptr);
   // Refills like a fresh interpretation, indexes included.
   EXPECT_TRUE(interp.Insert(*p, 3, {a}));
   EXPECT_TRUE(interp.Insert(*e, 0, {b}));
   EXPECT_EQ(interp.size(), 2u);
-  const std::vector<uint32_t>* bucket = interp.ProbeSnapshot(*p, 3, 0, a);
+  const std::vector<uint32_t>* bucket = interp.Snapshot(*p, 3).Probe(0, a);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(*bucket, (std::vector<uint32_t>{0}));
+}
+
+TEST(ColumnarInterpretationTest, CopiesAndMovesKeepInCellIndexes) {
+  auto vocab = std::make_shared<Vocabulary>();
+  auto p = vocab->DeclarePredicate("p", 3);
+  auto e = vocab->DeclarePredicate("e", 2);
+  ASSERT_TRUE(p.ok());
+  ASSERT_TRUE(e.ok());
+  vocab->SetTemporal(*p);
+  constexpr int64_t kTime = 300;  // in the second block
+  Interpretation interp(vocab);
+  for (SymbolId x = 0; x < 20; ++x) {  // wider than kInlineRows
+    interp.Insert(*p, kTime, {x, x % 3});
+    interp.Insert(*e, 0, {x, x % 3});
+  }
+  // Second-column indexes, built before the copy.
+  const std::vector<uint32_t>* bucket = interp.Snapshot(*p, kTime).Probe(1, 0);
+  const std::vector<uint32_t>* e_bucket = interp.NonTemporal(*e).Probe(1, 0);
+  ASSERT_NE(bucket, nullptr);
+  ASSERT_NE(e_bucket, nullptr);
+  EXPECT_EQ(bucket->size(), 7u);
+
+  Interpretation copy = interp;
+  const std::vector<uint32_t>* copy_bucket =
+      copy.Snapshot(*p, kTime).Probe(1, 0);
+  ASSERT_NE(copy_bucket, nullptr);
+  EXPECT_NE(copy_bucket, bucket);  // the copy owns its index
+  EXPECT_EQ(*copy_bucket, *bucket);
+  EXPECT_EQ(*copy.NonTemporal(*e).Probe(1, 0), *e_bucket);
+  // The copy's index follows the copy's inserts, and only those.
+  copy.Insert(*p, kTime, {20, 0});
+  copy.Insert(*e, 0, {20, 0});
+  EXPECT_EQ(copy_bucket->size(), 8u);
+  EXPECT_EQ(copy.NonTemporal(*e).Probe(1, 0)->size(), 8u);
+  EXPECT_EQ(bucket->size(), 7u);
+  EXPECT_EQ(e_bucket->size(), 7u);
+
+  // A move hands the cells over in place: the held bucket stays valid.
+  Interpretation moved = std::move(copy);
+  EXPECT_EQ(moved.Snapshot(*p, kTime).Probe(1, 0), copy_bucket);
+  for (uint32_t row : *copy_bucket) {
+    EXPECT_EQ(moved.Snapshot(*p, kTime).at(row, 1), 0u);
+  }
+  moved.Insert(*p, kTime, {21, 0});
+  EXPECT_EQ(copy_bucket->size(), 9u);
+
+  // Copy assignment replaces the target's cells, indexes included; a column
+  // first probed after the copy is built from the copied rows.
+  Interpretation assigned(vocab);
+  assigned.Insert(*p, kTime, {99, 99});
+  assigned = interp;
+  EXPECT_EQ(assigned.Snapshot(*p, kTime).Probe(1, 0)->size(), 7u);
+  EXPECT_EQ(assigned.Snapshot(*p, kTime).Probe(1, 99), nullptr);
+  ASSERT_NE(assigned.Snapshot(*p, kTime).Probe(0, 5), nullptr);
+  EXPECT_EQ(assigned.Snapshot(*p, kTime).Probe(0, 5)->size(), 1u);
 }
 
 }  // namespace

@@ -85,6 +85,29 @@ TEST(RuleEvalTest, NegativeTimesAreNotGenerated) {
   EXPECT_EQ(count, 0);
 }
 
+TEST(RuleEvalTest, TimelineWalkEndsAtFactOfLargestTime) {
+  // The body's temporal variable is unbound, so the matcher walks q's
+  // timeline; its last cell sits at the largest int64_t time.
+  ParsedUnit unit = MustParse(R"(
+    seen(X) :- q(T, X).
+    q(9223372036854775807, a). q(9223372036854775806, b). q(3, c).
+  )");
+  Interpretation interp(unit.program.vocab_ptr());
+  interp.InsertDatabase(unit.database);
+  RuleEvaluator evaluator(unit.program.rules()[0], unit.program.vocab());
+  // Keeps the first few derivations only, so a walk that wraps around and
+  // never ends does not also grow without bound.
+  std::vector<GroundAtom> derived;
+  evaluator.Evaluate(interp, nullptr, -1, std::nullopt, nullptr,
+                     [&](GroundAtom&& f) {
+                       if (derived.size() < 8) derived.push_back(std::move(f));
+                     });
+  ASSERT_EQ(derived.size(), 3u);
+  EXPECT_EQ(derived[0], MustAtom(unit, "seen", 0, {"c"}));
+  EXPECT_EQ(derived[1], MustAtom(unit, "seen", 0, {"b"}));
+  EXPECT_EQ(derived[2], MustAtom(unit, "seen", 0, {"a"}));
+}
+
 TEST(RuleEvalTest, RepeatedVariableMustMatch) {
   ParsedUnit unit = MustParse("loop(X) :- e(X, X).\ne(a, a). e(a, b).");
   Interpretation interp(unit.program.vocab_ptr());

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <string>
@@ -42,27 +43,27 @@ TEST_F(IndexTest, NonTemporalProbeFindsBuckets) {
   interp.Insert(e_, 0, {a_, b_});
   interp.Insert(e_, 0, {a_, c_});
   interp.Insert(e_, 0, {b_, c_});
-  const auto* bucket = interp.ProbeNonTemporal(e_, 0, a_);
+  const auto* bucket = interp.NonTemporal(e_).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 2u);
-  const auto* col1 = interp.ProbeNonTemporal(e_, 1, c_);
+  const auto* col1 = interp.NonTemporal(e_).Probe(1, c_);
   ASSERT_NE(col1, nullptr);
   EXPECT_EQ(col1->size(), 2u);
-  EXPECT_EQ(interp.ProbeNonTemporal(e_, 0, c_), nullptr);
+  EXPECT_EQ(interp.NonTemporal(e_).Probe(0, c_), nullptr);
 }
 
 TEST_F(IndexTest, IndexIsMaintainedAcrossInserts) {
   Interpretation interp(vocab_);
   interp.Insert(e_, 0, {a_, b_});
   // Build the index first...
-  ASSERT_NE(interp.ProbeNonTemporal(e_, 0, a_), nullptr);
+  ASSERT_NE(interp.NonTemporal(e_).Probe(0, a_), nullptr);
   // ...then keep inserting: the bucket must grow.
   interp.Insert(e_, 0, {a_, c_});
   interp.Insert(e_, 0, {b_, b_});
-  const auto* bucket = interp.ProbeNonTemporal(e_, 0, a_);
+  const auto* bucket = interp.NonTemporal(e_).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 2u);
-  EXPECT_EQ(interp.ProbeNonTemporal(e_, 0, b_)->size(), 1u);
+  EXPECT_EQ(interp.NonTemporal(e_).Probe(0, b_)->size(), 1u);
 }
 
 TEST_F(IndexTest, SnapshotProbe) {
@@ -70,49 +71,49 @@ TEST_F(IndexTest, SnapshotProbe) {
   interp.Insert(p_, 3, {a_});
   interp.Insert(p_, 3, {b_});
   interp.Insert(p_, 5, {a_});
-  const auto* bucket = interp.ProbeSnapshot(p_, 3, 0, a_);
+  const auto* bucket = interp.Snapshot(p_, 3).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 1u);
   // Buckets hold row ids into the probed snapshot's relation.
   EXPECT_EQ(interp.Snapshot(p_, 3).at((*bucket)[0], 0), a_);
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 4, 0, a_), nullptr);  // empty snapshot
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 3, 0, c_), nullptr);  // empty bucket
+  EXPECT_EQ(interp.Snapshot(p_, 4).Probe(0, a_), nullptr);  // empty snapshot
+  EXPECT_EQ(interp.Snapshot(p_, 3).Probe(0, c_), nullptr);  // empty bucket
 }
 
 TEST_F(IndexTest, SnapshotIndexMaintainedAcrossInserts) {
   Interpretation interp(vocab_);
   interp.Insert(p_, 1, {a_});
-  ASSERT_NE(interp.ProbeSnapshot(p_, 1, 0, a_), nullptr);
+  ASSERT_NE(interp.Snapshot(p_, 1).Probe(0, a_), nullptr);
   interp.Insert(p_, 1, {a_});  // duplicate: no growth
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 1, 0, a_)->size(), 1u);
+  EXPECT_EQ(interp.Snapshot(p_, 1).Probe(0, a_)->size(), 1u);
   interp.Insert(p_, 1, {b_});
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 1, 0, b_)->size(), 1u);
+  EXPECT_EQ(interp.Snapshot(p_, 1).Probe(0, b_)->size(), 1u);
 }
 
 TEST_F(IndexTest, CopyDropsIndexSafely) {
   Interpretation interp(vocab_);
   interp.Insert(e_, 0, {a_, b_});
-  ASSERT_NE(interp.ProbeNonTemporal(e_, 0, a_), nullptr);
+  ASSERT_NE(interp.NonTemporal(e_).Probe(0, a_), nullptr);
   Interpretation copy = interp;
   // The copy carries the index, which addresses the copy's own relation
   // (row ids are positional), and sees the same facts.
-  const auto* bucket = copy.ProbeNonTemporal(e_, 0, a_);
+  const auto* bucket = copy.NonTemporal(e_).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 1u);
   // Inserting into the copy must not disturb the original.
   copy.Insert(e_, 0, {a_, c_});
-  EXPECT_EQ(interp.ProbeNonTemporal(e_, 0, a_)->size(), 1u);
-  EXPECT_EQ(copy.ProbeNonTemporal(e_, 0, a_)->size(), 2u);
+  EXPECT_EQ(interp.NonTemporal(e_).Probe(0, a_)->size(), 1u);
+  EXPECT_EQ(copy.NonTemporal(e_).Probe(0, a_)->size(), 2u);
 }
 
 TEST_F(IndexTest, TruncateInvalidatesSnapshotIndex) {
   Interpretation interp(vocab_);
   interp.Insert(p_, 1, {a_});
   interp.Insert(p_, 9, {a_});
-  ASSERT_NE(interp.ProbeSnapshot(p_, 9, 0, a_), nullptr);
+  ASSERT_NE(interp.Snapshot(p_, 9).Probe(0, a_), nullptr);
   interp.TruncateInPlace(5);
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 9, 0, a_), nullptr);
-  ASSERT_NE(interp.ProbeSnapshot(p_, 1, 0, a_), nullptr);
+  EXPECT_EQ(interp.Snapshot(p_, 9).Probe(0, a_), nullptr);
+  ASSERT_NE(interp.Snapshot(p_, 1).Probe(0, a_), nullptr);
 }
 
 // The ablation invariant: fixpoints with and without the index produce the
@@ -133,20 +134,79 @@ Interpretation ExpectIndexAblationAgrees(const ParsedUnit& unit) {
   return std::move(*indexed);
 }
 
+/// The sweep's random program for `seed`: relations wider than
+/// Relation::kInlineRows (narrower ones are scanned, never probed) and
+/// two-argument temporal predicates, so joins probe second columns as well
+/// as first ones.
+std::string WideProgramSource(uint32_t seed) {
+  std::mt19937 rng(seed);
+  workload::RandomProgramOptions options;
+  options.progressive_only = (seed % 2 == 0);
+  options.temporal_columns = 2;
+  options.num_constants = 12;
+  options.num_facts = 60;
+  return workload::RandomProgramSource(options, &rng);
+}
+
+/// Rows of the widest relation (non-temporal, or one snapshot cell).
+std::size_t WidestRelation(const Interpretation& model) {
+  std::size_t widest = 0;
+  for (PredicateId pred : model.vocab().AllPredicates()) {
+    if (!model.vocab().predicate(pred).is_temporal) {
+      widest = std::max(widest, model.NonTemporal(pred).size());
+      continue;
+    }
+    for (const auto& [time, cell] : model.Timeline(pred)) {
+      widest = std::max(widest, cell.size());
+    }
+  }
+  return widest;
+}
+
+bool PlansProbeLaterColumn(const RulePlanReport& plans) {
+  for (const auto& slots : plans) {
+    for (const PlanSlotReport& slot : slots) {
+      for (int32_t col : slot.probe_cols) {
+        if (col > 0) return true;
+      }
+    }
+  }
+  return false;
+}
+
+constexpr uint32_t kSweepSeeds = 20;
+
 class IndexAblation : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(IndexAblation, IndexedAndUnindexedFixpointsAgree) {
-  std::mt19937 rng(GetParam());
-  workload::RandomProgramOptions options;
-  options.progressive_only = (GetParam() % 2 == 0);
-  std::string src = workload::RandomProgramSource(options, &rng);
+  const std::string src = WideProgramSource(GetParam());
   SCOPED_TRACE(src);
   auto unit = Parser::Parse(src);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  ExpectIndexAblationAgrees(*unit);
+  const Interpretation model = ExpectIndexAblationAgrees(*unit);
+  // The comparison guards the probe path only if it reaches it.
+  EXPECT_GT(WidestRelation(model), Relation::kInlineRows);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, IndexAblation, ::testing::Range(0u, 20u));
+// The sweep as a whole must also probe columns other than the first: a
+// column index built over the wrong column then drops facts.
+TEST(IndexAblationCoverage, SweepPlansProbesOfLaterColumns) {
+  uint32_t seeds_probing_later = 0;
+  for (uint32_t seed = 0; seed < kSweepSeeds; ++seed) {
+    auto unit = Parser::Parse(WideProgramSource(seed));
+    ASSERT_TRUE(unit.ok()) << unit.status();
+    FixpointOptions options;
+    options.max_time = 12;
+    RulePlanReport plans;
+    options.plan_report = &plans;
+    ASSERT_TRUE(SemiNaiveFixpoint(unit->program, unit->database, options).ok());
+    if (PlansProbeLaterColumn(plans)) ++seeds_probing_later;
+  }
+  EXPECT_GE(seeds_probing_later, kSweepSeeds / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, IndexAblation,
+                         ::testing::Range(0u, kSweepSeeds));
 
 // The evaluator scans cells of at most Relation::kInlineRows rows and probes
 // larger ones: joins through cells on both sides of that boundary (8 and 9
